@@ -1,10 +1,11 @@
 """Bit-level packing helpers used by the leaf compression layout.
 
 The compressed leaf structure of Figure 6 is not byte aligned (3 flag bits,
-10-bit mantissas, 6-bit sign/exponent tuples), so compression and
-decompression need an explicit bit writer/reader.  Bits are packed MSB-first
+10-bit mantissas, 6-bit sign/exponent tuples).  Bits are packed MSB-first
 within each byte, matching how the paper's compress/decompress logic streams
-fields through the ZipPts buffer.
+fields through the ZipPts buffer.  The codec in
+:mod:`repro.core.leaf_compression` packs whole leaves with NumPy; this
+field-at-a-time writer/reader is the reference its tests compare against.
 """
 
 from __future__ import annotations

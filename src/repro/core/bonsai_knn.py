@@ -26,10 +26,10 @@ import numpy as np
 from ..kdtree.build import KDTree
 from ..kdtree.node import Node
 from ..kdtree.radius_search import SearchStats
-from ..runtime.kernels import reduced_precision_max_delta, shell_error_bound
+from ..runtime.kernels import shell_error_bound
 from .compressed_leaf import CompressedStructArray, compress_tree
 from .floatfmt import FLOAT16, FloatFormat
-from .leaf_compression import ZIPPTS_SLICE_BYTES, decompress_leaf
+from .leaf_compression import ZIPPTS_SLICE_BYTES
 
 __all__ = ["BonsaiKNNStats", "BonsaiNearestNeighbors"]
 
@@ -63,8 +63,6 @@ class BonsaiNearestNeighbors:
             compress_tree(tree, fmt)
         self.array: CompressedStructArray = tree.compressed_array  # type: ignore[attr-defined]
         self.stats = BonsaiKNNStats()
-        self._decoded_cache = {}
-        self._error_cache = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -115,11 +113,11 @@ class BonsaiNearestNeighbors:
         ref = leaf.compressed_ref
         self.stats.compressed_bytes_loaded += ref.n_slices * ZIPPTS_SLICE_BYTES
 
-        reduced, max_delta = self._decoded(leaf.leaf_id)
-        diffs = query - reduced
+        decoded = self.array.decoded(leaf.leaf_id, self.fmt)
+        diffs = query - decoded.reduced
         sq = diffs * diffs
         d2_approx = sq.sum(axis=1)
-        eps = shell_error_bound(np.abs(diffs), max_delta)
+        eps = shell_error_bound(np.abs(diffs), decoded.max_delta)
         lower_bounds = np.maximum(d2_approx - eps, 0.0)
 
         self.stats.points_screened += leaf.n_points
@@ -135,13 +133,3 @@ class BonsaiNearestNeighbors:
                 heapq.heappush(heap, (-d2, int(point_index)))
             elif d2 < worst_d2():
                 heapq.heapreplace(heap, (-d2, int(point_index)))
-
-    def _decoded(self, leaf_id: int):
-        cached = self._decoded_cache.get(leaf_id)
-        if cached is not None:
-            return cached, self._error_cache[leaf_id]
-        reduced = decompress_leaf(self.array.get(leaf_id), self.fmt)
-        max_delta = reduced_precision_max_delta(reduced, self.fmt)
-        self._decoded_cache[leaf_id] = reduced
-        self._error_cache[leaf_id] = max_delta
-        return reduced, max_delta

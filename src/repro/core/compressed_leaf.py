@@ -6,28 +6,31 @@ created during the tree build, and re-uses otherwise-unused leaf fields to
 hold each leaf's (offset, length) into that array.  This module models both
 pieces and provides ``compress_tree`` to run the whole build-time compression
 pass over a k-d tree.
+
+The array also owns the tree's :class:`DecodedLeafTable`: the functional
+model decompresses each leaf at most once per tree, on its first visit, and
+every later visit, by any searcher or thread, reads the decoded entry.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from ..kdtree.build import KDTree
-from ..kdtree.node import LeafNode
+from ..runtime.kernels import reduced_precision_max_delta
 from .floatfmt import FLOAT16, FloatFormat
-from .leaf_compression import (
-    MAX_POINTS_PER_LEAF,
-    ZIPPTS_SLICE_BYTES,
-    CompressedLeaf,
-    compress_leaf,
-)
+from .leaf_compression import CompressedLeaf, compress_leaf_bits, decompress_leaf
 
 __all__ = [
     "CompressedRef",
     "CompressedStructArray",
+    "DecodedLeaf",
+    "DecodedLeafTable",
     "compress_tree",
     "compression_pass_count",
     "CompressionReport",
@@ -39,6 +42,10 @@ __all__ = [
 #: :class:`~repro.serve.store.SharedCloudStore` counts exactly one pass,
 #: and every attaching client counts zero.
 _COMPRESSION_PASSES = 0
+
+
+#: Points per :meth:`FloatFormat.encode_array` call in :func:`compress_tree`.
+_ENCODE_BLOCK = 8192
 
 
 def compression_pass_count() -> int:
@@ -62,10 +69,83 @@ class CompressedRef:
         return self.offset + self.length
 
 
-class CompressedStructArray:
+class DecodedLeaf(NamedTuple):
+    """One decoded leaf: what the Bonsai functional unit computes on."""
+
+    #: ``(N, 3)`` float64 reduced-precision coordinates (read-only).
+    reduced: np.ndarray
+    #: ``(N, 3)`` per-coordinate worst-case rounding error, Eq. 6 (read-only).
+    max_delta: np.ndarray
+    #: Reduced float format the leaf was decoded with.
+    fmt_name: str
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class DecodedLeafTable:
+    """A compressed tree's lazily filled table of decoded leaves.
+
+    Base of the compressed-structure arrays (:class:`CompressedStructArray`
+    and the shared-memory ``SharedStructArray``), which supply
+    ``get(leaf_id)``.  :meth:`decoded` fills an entry through
+    :func:`~repro.core.leaf_compression.decompress_leaf` on a leaf's first
+    visit, so each leaf is decoded at most once per tree, even under
+    concurrent searches from several threads.  Readers still charge the
+    byte and slice accounting on every visit, as the hardware would.  The
+    table is not pickled: a worker process decodes into its own.
+    """
+
+    def __init__(self) -> None:
+        self._decoded: Dict[int, DecodedLeaf] = {}
+        self._decode_lock = threading.Lock()
+        self._lock_pid = os.getpid()
+
+    def decoded(self, leaf_id: int, fmt: FloatFormat) -> DecodedLeaf:
+        """The decoded entry of ``leaf_id``, decompressing it on first use.
+
+        Raises ``ValueError`` if ``fmt`` is not the leaf's format.
+        """
+        entry = self._decoded.get(leaf_id)
+        if entry is None:
+            if self._lock_pid != os.getpid():
+                # A forked worker inherits the lock in whatever state a
+                # parent thread held it; only this process uses it now.
+                self._decode_lock = threading.Lock()
+                self._lock_pid = os.getpid()
+            with self._decode_lock:
+                entry = self._decoded.get(leaf_id)
+                if entry is None:
+                    reduced = decompress_leaf(self.get(leaf_id), fmt)
+                    entry = DecodedLeaf(
+                        _read_only(reduced),
+                        _read_only(reduced_precision_max_delta(reduced, fmt)),
+                        fmt.name)
+                    self._decoded[leaf_id] = entry
+        if entry.fmt_name != fmt.name:
+            raise ValueError(
+                f"compressed leaf uses format {entry.fmt_name!r}, "
+                f"decompression requested with {fmt.name!r}"
+            )
+        return entry
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_decoded"], state["_decode_lock"], state["_lock_pid"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        DecodedLeafTable.__init__(self)
+
+
+class CompressedStructArray(DecodedLeafTable):
     """A growable byte array holding compressed leaf structures back to back."""
 
     def __init__(self, fmt: FloatFormat = FLOAT16):
+        super().__init__()
         self.fmt = fmt
         self._data = bytearray()
         self._leaves: Dict[int, CompressedLeaf] = {}
@@ -164,9 +244,14 @@ def compress_tree(tree: KDTree, fmt: FloatFormat = FLOAT16,
     coords_shared = {"x": 0, "y": 0, "z": 0}
     fully_shared = 0
     total_points = 0
+    # Encoded in blocks: the codec's int64 temporaries for a whole map
+    # would briefly cost tens of MB.
+    points = np.asarray(tree.points, dtype=np.float32)
+    bits = np.concatenate([
+        fmt.encode_array(block)
+        for block in np.split(points, range(_ENCODE_BLOCK, len(points), _ENCODE_BLOCK))])
     for leaf in tree.leaves:
-        points = tree.leaf_points(leaf)
-        compressed = compress_leaf(points, fmt)
+        compressed = compress_leaf_bits(bits[leaf.indices], fmt)
         ref = array.append(leaf.leaf_id, compressed)
         leaf.compressed_ref = ref
         total_points += leaf.n_points

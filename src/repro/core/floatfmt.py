@@ -201,19 +201,55 @@ class FloatFormat:
         return np.array([self.round_trip(v) for v in values], dtype=np.float64)
 
     def quantize_array(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised round-trip of an arbitrary-shaped float array.
+        """Vectorised round-trip of an arbitrary-shaped float array."""
+        return self.decode_array(self.encode_array(values))
 
-        IEEE half precision uses NumPy's native conversion (bit-exact with the
-        scalar path); other formats fall back to the scalar codec.
+    def encode_array(self, values: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`encode` of an arbitrary-shaped float array.
+
+        Rounds the float64 bit fields with integer arithmetic, half to even,
+        so every element gets exactly the scalar codec's bit pattern
+        (saturation to infinity, subnormals, signed zeros, canonical NaN
+        included).  Returns ``uint32`` patterns of the same shape; every
+        format here is at most 32 bits wide.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if self.name == "ieee_fp16":
-            return values.astype(np.float16).astype(np.float64)
-        if self.name == "ieee_fp32":
-            return values.astype(np.float32).astype(np.float64)
-        flat = values.reshape(-1)
-        out = np.array([self.round_trip(float(v)) for v in flat], dtype=np.float64)
-        return out.reshape(values.shape)
+        raw = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        sign = (raw >> np.uint64(63)).astype(np.int64)
+        exp64 = ((raw >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+        frac64 = (raw & np.uint64((1 << 52) - 1)).astype(np.int64)
+        # Significand with its hidden bit and the target's biased exponent.
+        sig = np.where(exp64 > 0, frac64 | (1 << 52), frac64)
+        biased = np.maximum(exp64, 1) - 1023 + self.bias
+        # Bits of ``sig`` below the target's last mantissa bit; a subnormal
+        # result drops one more per binade below the smallest normal.
+        shift = np.minimum(52 - self.mantissa_bits + np.maximum(1 - biased, 0), 62)
+        kept = sig >> shift
+        dropped = sig - (kept << shift)
+        half = np.left_shift(1, shift - 1)
+        kept += (dropped > half) | ((dropped == half) & ((kept & 1) == 1))
+        # ``kept`` carries the hidden bit, so a mantissa that rounds up to
+        # the next power of two moves into the exponent field by itself.
+        magnitude = ((np.maximum(biased, 1) - 1) << self.mantissa_bits) + kept
+        all_ones = (1 << self.exponent_bits) - 1
+        magnitude = np.where(magnitude >> self.mantissa_bits >= all_ones,
+                             all_ones << self.mantissa_bits, magnitude)
+        bits = (sign << (self.exponent_bits + self.mantissa_bits)) | magnitude
+        nan = (exp64 == 0x7FF) & (frac64 != 0)
+        bits = np.where(nan, self.encode(float("nan")), bits)
+        return bits.astype(np.uint32)
+
+    def decode_array(self, bits: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`decode` of an arbitrary-shaped bit-pattern array."""
+        bits = np.asarray(bits).astype(np.int64)
+        mantissa = bits & ((1 << self.mantissa_bits) - 1)
+        exponent = (bits >> self.mantissa_bits) & ((1 << self.exponent_bits) - 1)
+        negative = ((bits >> (self.mantissa_bits + self.exponent_bits)) & 1) == 1
+        significand = np.where(exponent > 0, mantissa | (1 << self.mantissa_bits), mantissa)
+        scale = (np.maximum(exponent, 1) - self.bias - self.mantissa_bits).astype(np.int32)
+        values = np.ldexp(significand.astype(np.float64), scale)
+        special = np.where(mantissa != 0, np.nan, np.inf)
+        values = np.where(exponent == (1 << self.exponent_bits) - 1, special, values)
+        return np.where(negative, -values, values)
 
     # ------------------------------------------------------------------
     # Field helpers

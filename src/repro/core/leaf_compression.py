@@ -18,12 +18,12 @@ conversion, whose error the shell classifier bounds at search time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
 from .floatfmt import FLOAT16, FloatFormat
 
 __all__ = [
@@ -31,7 +31,9 @@ __all__ = [
     "MAX_POINTS_PER_LEAF",
     "CompressedLeaf",
     "compress_leaf",
+    "compress_leaf_bits",
     "decompress_leaf",
+    "decompress_leaf_bits",
     "compressed_size_bits",
 ]
 
@@ -111,6 +113,49 @@ def compressed_size_bits(n_points: int, flags: Sequence[bool],
     return bits
 
 
+@functools.lru_cache(maxsize=None)
+def _field_layout(fmt: FloatFormat, n_points: int,
+                  flags: Tuple[bool, bool, bool]) -> Tuple[np.ndarray, int]:
+    """Payload bit positions of every coordinate in the Figure 6 layout.
+
+    Returns ``(positions, payload_bits)``.  ``positions[i, c, b]`` is the
+    stream bit that holds bit ``b`` (MSB first) of point ``i``'s reduced
+    coordinate ``c``: its <sign, exponent> bits first, then its mantissa.
+    A shared <sign, exponent> maps every point to the single stored copy.
+    """
+    se_bits = _sign_exponent_bits(fmt)
+    m_bits = fmt.mantissa_bits
+    point_coord = np.arange(n_points)[:, None] * N_COORDS + np.arange(N_COORDS)
+    positions = np.empty((n_points, N_COORDS, se_bits + m_bits), dtype=np.intp)
+    # Mantissas, point-major, right after the three flag bits.
+    mantissa_start = N_COORDS + point_coord * m_bits
+    positions[:, :, se_bits:] = mantissa_start[..., None] + np.arange(m_bits)
+    cursor = N_COORDS + n_points * N_COORDS * m_bits
+    # One <sign, exponent> copy per compressed coordinate ...
+    se_start = np.empty((n_points, N_COORDS), dtype=np.intp)
+    for c in range(N_COORDS):
+        if flags[c]:
+            se_start[:, c] = cursor
+            cursor += se_bits
+    # ... then the remaining tuples, point-major over uncompressed coordinates.
+    unshared = [c for c in range(N_COORDS) if not flags[c]]
+    if unshared:
+        order = np.arange(n_points)[:, None] * len(unshared) + np.arange(len(unshared))
+        se_start[:, unshared] = cursor + order * se_bits
+        cursor += n_points * len(unshared) * se_bits
+    positions[:, :, :se_bits] = se_start[..., None] + np.arange(se_bits)
+    positions.flags.writeable = False
+    return positions, cursor
+
+
+@functools.lru_cache(maxsize=None)
+def _msb_weights(fmt: FloatFormat) -> np.ndarray:
+    """Place values of a packed pattern's bits, most significant first."""
+    weights = np.uint32(1) << np.arange(fmt.total_bits - 1, -1, -1, dtype=np.uint32)
+    weights.flags.writeable = False
+    return weights
+
+
 def compress_leaf(points_fp32: np.ndarray, fmt: FloatFormat = FLOAT16) -> CompressedLeaf:
     """Compress a leaf's ``(N, 3)`` float32 points into the Figure 6 layout.
 
@@ -120,7 +165,16 @@ def compress_leaf(points_fp32: np.ndarray, fmt: FloatFormat = FLOAT16) -> Compre
     points_fp32 = np.asarray(points_fp32, dtype=np.float32)
     if points_fp32.ndim != 2 or points_fp32.shape[1] != N_COORDS:
         raise ValueError("leaf points must form an (N, 3) array")
-    n_points = points_fp32.shape[0]
+    return compress_leaf_bits(fmt.encode_array(points_fp32), fmt)
+
+
+def compress_leaf_bits(bits: np.ndarray, fmt: FloatFormat = FLOAT16) -> CompressedLeaf:
+    """Pack a leaf's ``(N, 3)`` reduced-format bit patterns (Figure 6).
+
+    The second half of :func:`compress_leaf`, for callers that encode many
+    leaves' points in one :meth:`FloatFormat.encode_array` call.
+    """
+    n_points = bits.shape[0]
     if n_points == 0:
         raise ValueError("cannot compress an empty leaf")
     if n_points > MAX_POINTS_PER_LEAF:
@@ -129,39 +183,17 @@ def compress_leaf(points_fp32: np.ndarray, fmt: FloatFormat = FLOAT16) -> Compre
             f"{MAX_POINTS_PER_LEAF}"
         )
 
-    # Reduced-format bit patterns, shape (N, 3).
-    bits = np.empty((n_points, N_COORDS), dtype=np.uint32)
-    for i in range(n_points):
-        for c in range(N_COORDS):
-            bits[i, c] = fmt.encode(float(points_fp32[i, c]))
+    se = bits >> fmt.mantissa_bits
+    flags = tuple(bool(shared) for shared in (se == se[0]).all(axis=0))
 
-    se_bits = _sign_exponent_bits(fmt)
-    se = (bits >> fmt.mantissa_bits) & ((1 << se_bits) - 1)
-    mantissa = bits & ((1 << fmt.mantissa_bits) - 1)
-
-    flags = tuple(bool(np.all(se[:, c] == se[0, c])) for c in range(N_COORDS))
-
-    writer = BitWriter()
-    for flag in flags:
-        writer.write(1 if flag else 0, 1)
-    # Mantissas bypass compression, stored point-major (x, y, z per point).
-    for i in range(n_points):
-        for c in range(N_COORDS):
-            writer.write(int(mantissa[i, c]), fmt.mantissa_bits)
-    # Single <sign, exponent> copy per compressed coordinate.
-    for c in range(N_COORDS):
-        if flags[c]:
-            writer.write(int(se[0, c]), se_bits)
-    # Remaining <sign, exponent> tuples, point-major over uncompressed coords.
-    for i in range(n_points):
-        for c in range(N_COORDS):
-            if not flags[c]:
-                writer.write(int(se[i, c]), se_bits)
-
-    payload_bits = writer.bit_length
-    data = writer.to_bytes(pad_to=ZIPPTS_SLICE_BYTES)
+    positions, payload_bits = _field_layout(fmt, n_points, flags)
+    slice_bits = ZIPPTS_SLICE_BYTES * 8
+    stream = np.zeros(-(-payload_bits // slice_bits) * slice_bits, dtype=np.uint8)
+    stream[:N_COORDS] = flags
+    # A shared <sign, exponent> is written once per point, always the same value.
+    stream[positions] = (bits[..., None] & _msb_weights(fmt)) != 0
     return CompressedLeaf(
-        data=data,
+        data=np.packbits(stream).tobytes(),
         n_points=n_points,
         flags=flags,  # type: ignore[arg-type]
         payload_bits=payload_bits,
@@ -178,53 +210,23 @@ def decompress_leaf(compressed: CompressedLeaf,
     on).  The fp16 bit patterns are reconstructed exactly.
     """
     fmt = fmt or FLOAT16
-    if fmt.name != compressed.fmt_name:
-        raise ValueError(
-            f"compressed leaf uses format {compressed.fmt_name!r}, "
-            f"decompression requested with {fmt.name!r}"
-        )
-    reader = BitReader(compressed.data)
-    n_points = compressed.n_points
-    se_bits = _sign_exponent_bits(fmt)
-
-    flags = tuple(bool(reader.read(1)) for _ in range(N_COORDS))
-    if flags != compressed.flags:
-        raise ValueError("compression flags in the bit stream disagree with metadata")
-
-    mantissa = np.empty((n_points, N_COORDS), dtype=np.uint32)
-    for i in range(n_points):
-        for c in range(N_COORDS):
-            mantissa[i, c] = reader.read(fmt.mantissa_bits)
-
-    shared_se = {}
-    for c in range(N_COORDS):
-        if flags[c]:
-            shared_se[c] = reader.read(se_bits)
-
-    se = np.empty((n_points, N_COORDS), dtype=np.uint32)
-    for c in range(N_COORDS):
-        if flags[c]:
-            se[:, c] = shared_se[c]
-    for i in range(n_points):
-        for c in range(N_COORDS):
-            if not flags[c]:
-                se[i, c] = reader.read(se_bits)
-
-    values = np.empty((n_points, N_COORDS), dtype=np.float64)
-    for i in range(n_points):
-        for c in range(N_COORDS):
-            packed = (int(se[i, c]) << fmt.mantissa_bits) | int(mantissa[i, c])
-            values[i, c] = fmt.decode(packed)
-    return values
+    return fmt.decode_array(decompress_leaf_bits(compressed, fmt))
 
 
 def decompress_leaf_bits(compressed: CompressedLeaf,
                          fmt: Optional[FloatFormat] = None) -> np.ndarray:
     """Decompress a leaf into the raw reduced-format bit patterns ``(N, 3)``."""
     fmt = fmt or FLOAT16
-    values = decompress_leaf(compressed, fmt)
-    bits = np.empty(values.shape, dtype=np.uint32)
-    for i in range(values.shape[0]):
-        for c in range(values.shape[1]):
-            bits[i, c] = fmt.encode(float(values[i, c]))
-    return bits
+    if fmt.name != compressed.fmt_name:
+        raise ValueError(
+            f"compressed leaf uses format {compressed.fmt_name!r}, "
+            f"decompression requested with {fmt.name!r}"
+        )
+    stream = np.unpackbits(np.frombuffer(compressed.data, dtype=np.uint8))
+    flags = tuple(bool(flag) for flag in stream[:N_COORDS])
+    if flags != tuple(compressed.flags):
+        raise ValueError("compression flags in the bit stream disagree with metadata")
+    positions, payload_bits = _field_layout(fmt, compressed.n_points, flags)
+    if payload_bits > stream.size:
+        raise ValueError("attempt to read past the end of the bit stream")
+    return stream[positions] @ _msb_weights(fmt)

@@ -14,8 +14,9 @@ Public API
     Binds a tree plus a :class:`~repro.kdtree.radius_search.SearchStats`
     accumulator for repeated batches (the batched ``RadiusSearcher``).
 :class:`BonsaiBatchSearcher`
-    The compressed-leaf (K-D Bonsai) variant with a per-call
-    decompressed-leaf cache; same results as the baseline.
+    The compressed-leaf (K-D Bonsai) variant; it reads decoded leaves from
+    the tree's decoded-leaf table, so each leaf is decoded once per tree.
+    Same results as the baseline.
 :class:`BatchRadiusResult` / :class:`BatchKNNResult`
     CSR-style and dense result containers with ``as_lists()`` converters to
     the single-query formats.

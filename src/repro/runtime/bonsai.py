@@ -6,13 +6,13 @@ squared distances from the reduced-precision coordinates, the shell
 classification of Eq. 12, and exact 32-bit recomputation of inconclusive
 points only — so results are identical to the baseline search.
 
-The batched form adds the natural leaf-level optimisation the per-query
-inspector cannot exploit: each visited leaf is decompressed **once per call**
-and its decoded coordinates (plus per-coordinate error bounds) are reused for
-every query that reaches the leaf in the batch.  The byte/slice accounting
-still charges every (query, leaf) visit, as the hardware would, so
-:class:`~repro.core.bonsai_search.BonsaiStats` aggregates exactly like the
-per-query inspector's.
+The batched form processes every query that reaches a leaf in one matrix
+kernel.  Decoded coordinates (plus per-coordinate error bounds) come from the
+tree's :class:`~repro.core.compressed_leaf.DecodedLeafTable`, so each leaf is
+decompressed at most once per tree, across calls, searchers and threads.  The
+byte/slice accounting still charges every (query, leaf) visit, as the
+hardware would, so :class:`~repro.core.bonsai_search.BonsaiStats` aggregates
+exactly like the per-query inspector's.
 
 Example
 -------
@@ -24,14 +24,14 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.bonsai_search import BonsaiStats
 from ..core.compressed_leaf import CompressedStructArray, compress_tree
 from ..core.floatfmt import FLOAT16, FloatFormat
-from ..core.leaf_compression import ZIPPTS_SLICE_BYTES, decompress_leaf
+from ..core.leaf_compression import ZIPPTS_SLICE_BYTES
 from ..kdtree.build import KDTree
 from ..kdtree.layout import POINT_STRIDE_BYTES
 from ..kdtree.node import LeafNode
@@ -46,7 +46,6 @@ from .batch import (
 from .kernels import (
     batch_shell_distances,
     pairwise_distances2,
-    reduced_precision_max_delta,
     rowwise_distances2,
     shell_classify,
 )
@@ -96,9 +95,6 @@ class BonsaiBatchSearcher:
         array: Optional[CompressedStructArray] = getattr(tree, "compressed_array", None)
         stats = self.stats
         bstats = self.bonsai_stats
-        # Per-call decompressed-leaf cache: each leaf is decoded at most once
-        # per batch, no matter how many queries visit it.
-        decoded: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         hit_queries: List[np.ndarray] = []
         hit_points: List[np.ndarray] = []
 
@@ -126,14 +122,9 @@ class BonsaiBatchSearcher:
             stats.point_bytes_loaded += n_visits * ref.n_slices * ZIPPTS_SLICE_BYTES
             bstats.points_classified += n_visits * leaf.n_points
 
-            cached = decoded.get(leaf.leaf_id)
-            if cached is None:
-                reduced = decompress_leaf(array.get(leaf.leaf_id), self.fmt)
-                cached = (reduced, reduced_precision_max_delta(reduced, self.fmt))
-                decoded[leaf.leaf_id] = cached
-            reduced, max_delta = cached
-
-            d2_approx, eps = batch_shell_distances(reduced, query_arr[qidx], max_delta)
+            leaf_decoded = array.decoded(leaf.leaf_id, self.fmt)
+            d2_approx, eps = batch_shell_distances(
+                leaf_decoded.reduced, query_arr[qidx], leaf_decoded.max_delta)
             conclusive_in, conclusive_out, inconclusive = shell_classify(
                 d2_approx, eps, r2)
 

@@ -58,7 +58,7 @@ try:  # Advisory locking of the refcount; POSIX only (Linux/macOS).
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..core.compressed_leaf import CompressedRef, compress_tree
+from ..core.compressed_leaf import CompressedRef, DecodedLeafTable, compress_tree
 from ..core.floatfmt import FLOAT16, FORMATS_BY_NAME, FloatFormat
 from ..core.leaf_compression import CompressedLeaf
 from ..kdtree.build import KDTree, KDTreeConfig, KDTreeStats, build_kdtree
@@ -132,7 +132,7 @@ def _leaf_payload(node) -> tuple:
     )
 
 
-class SharedStructArray:
+class SharedStructArray(DecodedLeafTable):
     """Read-only :class:`CompressedStructArray` protocol over shared bytes.
 
     The byte blob lives in the store's ``cmp`` segment; per-leaf
@@ -140,11 +140,13 @@ class SharedStructArray:
     references plus the per-leaf payload-bit table (bytes are *copied out*
     of the segment on first access, so a cached leaf survives the segment).
     Covers every accessor the Bonsai search paths use (``get``/``ref``/
-    ``read``/``data``/``total_bytes``/``len``).
+    ``read``/``data``/``total_bytes``/``len``, and the inherited
+    ``decoded``, whose table is local to the attaching process).
     """
 
     def __init__(self, fmt: FloatFormat, buffer, refs: Dict[int, CompressedRef],
                  payload_bits: Dict[int, int], total_bytes: int):
+        super().__init__()
         self.fmt = fmt
         self._buf = buffer
         self._refs = refs

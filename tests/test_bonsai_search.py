@@ -131,14 +131,19 @@ class TestBonsaiLeafInspectorFallback:
         assert inspector.bonsai_stats.fallback_leaf_visits > 0
         assert inspector.bonsai_stats.leaf_visits == 0
 
-    def test_cache_disabled_still_correct(self, random_cloud):
+    def test_decoded_table_matches_baseline(self, random_cloud):
+        """Inspectors on one compressed tree read one decoded-leaf table;
+        the second one's leaves are all decoded already, and both still
+        return the baseline's results."""
         tree = build_kdtree(random_cloud)
         compress_tree(tree)
-        inspector = BonsaiLeafInspector(cache_decoded=False)
-        stats = SearchStats()
-        query = random_cloud[10]
-        got = radius_search(tree, query, 1.0, inspector=inspector, stats=stats)
-        assert sorted(got) == sorted(radius_search(tree, query, 1.0))
+        for _ in range(2):
+            inspector = BonsaiLeafInspector()
+            for query in random_cloud[10:200:19]:
+                got = radius_search(tree, query, 1.0, inspector=inspector,
+                                    stats=SearchStats())
+                assert sorted(got) == sorted(radius_search(tree, query, 1.0))
+            assert inspector.bonsai_stats.leaf_visits > 0
 
 
 class TestBonsaiWithRecorder:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.floatfmt import BFLOAT16, FLOAT16
+from repro.core.bitstream import BitReader, BitWriter
+from repro.core.floatfmt import BFLOAT16, FLOAT16, FLOAT24, FLOAT32
 from repro.core.leaf_compression import (
     MAX_POINTS_PER_LEAF,
     ZIPPTS_SLICE_BYTES,
@@ -158,3 +161,97 @@ class TestPropertyRoundTrip:
         np.testing.assert_array_equal(decoded, expected)
         assert compressed.n_points == n_points
         assert compressed.size_bytes % ZIPPTS_SLICE_BYTES == 0
+
+
+# ----------------------------------------------------------------------
+# The vectorised codec against a bit-at-a-time reference
+# ----------------------------------------------------------------------
+def _reference_compress(points: np.ndarray, fmt):
+    """Figure 6 written one field at a time with :class:`BitWriter`."""
+    bits = [[fmt.encode(float(v)) for v in row] for row in points]
+    se = [[b >> fmt.mantissa_bits for b in row] for row in bits]
+    flags = tuple(all(row[c] == se[0][c] for row in se) for c in range(3))
+    se_bits = fmt.sign_bits + fmt.exponent_bits
+    writer = BitWriter()
+    for flag in flags:
+        writer.write(int(flag), 1)
+    for row in bits:
+        for b in row:
+            writer.write(fmt.mantissa(b), fmt.mantissa_bits)
+    for c in range(3):
+        if flags[c]:
+            writer.write(se[0][c], se_bits)
+    for row in se:
+        for c in range(3):
+            if not flags[c]:
+                writer.write(row[c], se_bits)
+    return writer.to_bytes(pad_to=ZIPPTS_SLICE_BYTES), writer.bit_length, flags
+
+
+def _reference_decompress_bits(compressed: CompressedLeaf, fmt) -> np.ndarray:
+    """Figure 6 read back one field at a time with :class:`BitReader`."""
+    reader = BitReader(compressed.data)
+    se_bits = fmt.sign_bits + fmt.exponent_bits
+    flags = [reader.read(1) for _ in range(3)]
+    mantissa = [[reader.read(fmt.mantissa_bits) for _ in range(3)]
+                for _ in range(compressed.n_points)]
+    shared = {c: reader.read(se_bits) for c in range(3) if flags[c]}
+    return np.array([
+        [((shared[c] if flags[c] else reader.read(se_bits)) << fmt.mantissa_bits)
+         | mantissa[i][c] for c in range(3)]
+        for i in range(compressed.n_points)], dtype=np.uint64)
+
+
+#: Zeros, fp16/float24 subnormals, fp32 subnormals, values past the fp16 and
+#: float24 range, the fp32 maximum (past bfloat16's) and infinities.
+_EDGE_VALUES = [0.0, -0.0, 3e-8, -5.9604645e-08, 1e-6, 1e-40, -1.4e-45,
+                65504.0, 65520.0, -70000.0, 1e9, 3.4028235e38, -math.inf, math.inf]
+
+_coordinate = st.one_of(
+    st.floats(width=32, allow_nan=False),
+    st.sampled_from(_EDGE_VALUES),
+)
+
+
+@st.composite
+def _leaves(draw):
+    """``(N, 3)`` float32 leaves; each column either shares one sign and
+    binade (so the reduced <s,e> is usually shared) or is arbitrary."""
+    n_points = draw(st.integers(min_value=1, max_value=MAX_POINTS_PER_LEAF))
+    columns = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            exponent = draw(st.integers(min_value=-30, max_value=20))
+            column = [sign * math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), exponent)
+                      for _ in range(n_points)]
+        else:
+            column = draw(st.lists(_coordinate, min_size=n_points, max_size=n_points))
+        columns.append(column)
+    return np.array(columns, dtype=np.float32).T
+
+
+class TestVectorisedCodecMatchesReference:
+    @given(fmt=st.sampled_from([FLOAT16, BFLOAT16, FLOAT24, FLOAT32]), points=_leaves())
+    @settings(max_examples=300, deadline=None)
+    def test_codec_matches_bit_at_a_time_reference(self, fmt, points):
+        data, payload_bits, flags = _reference_compress(points, fmt)
+        compressed = compress_leaf(points, fmt)
+        assert compressed.data == data
+        assert compressed.payload_bits == payload_bits
+        assert compressed.flags == flags
+
+        scalar = np.array([[fmt.encode(float(v)) for v in row] for row in points],
+                          dtype=np.uint64)
+        np.testing.assert_array_equal(fmt.encode_array(points).astype(np.uint64), scalar)
+
+        reference_bits = _reference_decompress_bits(compressed, fmt)
+        np.testing.assert_array_equal(reference_bits, scalar)
+        np.testing.assert_array_equal(
+            decompress_leaf_bits(compressed, fmt).astype(np.uint64), reference_bits)
+        reference_values = np.array(
+            [[fmt.decode(int(b)) for b in row] for row in reference_bits])
+        decoded = decompress_leaf(compressed, fmt)
+        # Compare float64 bit patterns, so -0.0 and +0.0 differ.
+        np.testing.assert_array_equal(decoded.view(np.uint64),
+                                      reference_values.view(np.uint64))
