@@ -63,7 +63,7 @@ def test_fig11_batched_engine_matches_functional_counters(benchmark, pipeline,
     """The batched query engine serves the same frame with identical stats.
 
     With cache simulation disabled the extract kernel runs its cluster growth
-    through :mod:`repro.runtime` (one batched radius query per BFS wave).
+    through :mod:`repro.runtime` (one batched radius query over all points).
     The functional search counters that drive the latency model must be
     identical to the per-query trace-driven run.
     """

@@ -345,8 +345,10 @@ class _ShardedBatchedBackend:
 
         One pool per backend instance, reused across every parallel call —
         the tree is pickled to the workers exactly once (at pool startup),
-        so repeated large batches (clustering BFS waves, NDT iterations)
-        don't re-pay startup or tree transfer.  The tree is effectively
+        so repeated large batches (NDT iterations against one map tree)
+        don't re-pay startup or tree transfer.  A clustering frame builds
+        a fresh tree, so its one all-points query pays the startup once
+        per frame.  The tree is effectively
         immutable by then: the Bonsai flavour compresses it in the parent's
         constructor, before any pool can exist.  Torn down by
         :meth:`close` or automatically when the backend is collected.

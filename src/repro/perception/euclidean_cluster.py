@@ -4,7 +4,10 @@ The algorithm is the classic PCL ``EuclideanClusterExtraction`` used by
 Autoware's lidar_euclidean_cluster_detect node: grow clusters by repeatedly
 radius-searching around unprocessed points, then keep clusters whose size
 falls within configured bounds.  Radius search dominates its execution time,
-which is exactly the property the paper exploits (Figure 2).
+which is exactly the property the paper exploits (Figure 2).  Those clusters
+are the connected components of the fixed-radius neighbour graph, so
+unrecorded runs search every point in one batch and label the components in
+NumPy; recorded runs keep PCL's query-by-query growth.
 
 The extractor selects its search through the execution-backend registry
 (:mod:`repro.engine`), so the same clustering code runs on top of any named
@@ -16,7 +19,7 @@ keeping the mode as *data* (an :class:`~repro.engine.execution.ExecutionConfig`)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -110,13 +113,14 @@ class EuclideanClusterExtractor:
         self.recorder = recorder
 
     def extract(self, cloud: PointCloud) -> ClusterResult:
-        """Build the tree, grow clusters and return the filtered result.
+        """Build the tree, find the clusters and return the filtered result.
 
-        Batched backends grow clusters wave-by-wave: every BFS frontier is
-        issued as one batched radius query.  Per-query backends — and any
-        backend when a memory recorder is attached, because the trace-driven
+        Unrecorded backends radius-search every point in one batch and
+        label the connected components of the resulting neighbour graph
+        (:func:`_component_roots`).  With a memory recorder attached the
+        clusters grow query by query instead, because the trace-driven
         cache simulation depends on the exact order of the recorded memory
-        accesses — keep the query-by-query growth.  Both paths produce
+        accesses.  Both paths search every point exactly once and produce
         identical clusters and search statistics.
         """
         if cloud.is_empty:
@@ -135,12 +139,10 @@ class EuclideanClusterExtractor:
             backend = execution.make_backend(tree, recorder=self.recorder,
                                              layout=layout)
             clusters = self._grow_clusters(cloud, backend.search, layout)
-        elif execution.strategy == "perquery":
-            backend = execution.make_backend(tree)
-            clusters = self._grow_clusters(cloud, backend.search)
         else:
             backend = execution.make_backend(tree)
-            clusters = self._grow_clusters_batched(cloud, backend.radius_search)
+            neighbors = backend.radius_search(cloud.points, self.config.tolerance)
+            clusters = self._components_to_clusters(cloud, _component_roots(neighbors))
         return ClusterResult(
             clusters=clusters,
             n_points=len(cloud),
@@ -152,51 +154,29 @@ class EuclideanClusterExtractor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _grow_clusters_batched(
-            self, cloud: PointCloud,
-            batch_search: Callable[[np.ndarray, float], BatchRadiusResult],
-    ) -> List[Cluster]:
-        """Grow clusters wave-by-wave: one batched query per BFS frontier.
+    def _keeps(self, size: int) -> bool:
+        return self.config.min_cluster_size <= size <= self.config.max_cluster_size
 
-        Produces the same clusters as the per-query loop — euclidean
-        clustering computes the connected components of the fixed-radius
-        graph, which are independent of the search order — with every point
-        still searched exactly once, so the statistics aggregate identically.
+    def _components_to_clusters(self, cloud: PointCloud,
+                                roots: np.ndarray) -> List[Cluster]:
+        """Clusters of the components named by ``roots``, in seed order.
+
+        A component's root is its lowest point index — the seed the BFS
+        would start it from — so components come out in the BFS order,
+        each with its members sorted.
         """
-        n = len(cloud)
-        points = cloud.points
-        processed = np.zeros(n, dtype=bool)
-        clusters: List[Cluster] = []
-        tolerance = self.config.tolerance
-
-        for seed in range(n):
-            if processed[seed]:
-                continue
-            processed[seed] = True
-            members = [seed]
-            frontier = np.array([seed], dtype=np.intp)
-            while frontier.size:
-                result = batch_search(points[frontier], tolerance)
-                neighbors = np.unique(result.point_indices)
-                fresh = neighbors[~processed[neighbors]]
-                processed[fresh] = True
-                members.extend(fresh.tolist())
-                frontier = fresh
-            if self.config.min_cluster_size <= len(members) <= self.config.max_cluster_size:
-                member_indices = sorted(members)
-                member_points = cloud.points[member_indices].astype(np.float64)
-                clusters.append(
-                    Cluster(
-                        indices=member_indices,
-                        centroid=member_points.mean(axis=0),
-                        bbox=BoundingBox.from_points(member_points),
-                    )
-                )
-        return clusters
+        sizes = np.bincount(roots, minlength=roots.shape[0])
+        members = np.argsort(roots, kind="stable")
+        seeds = np.flatnonzero(sizes)
+        stops = np.cumsum(sizes[seeds])
+        return [_make_cluster(cloud, members[stop - sizes[seed]:stop])
+                for seed, stop in zip(seeds.tolist(), stops.tolist())
+                if self._keeps(int(sizes[seed]))]
 
     def _grow_clusters(self, cloud: PointCloud,
                        search: Callable[[Sequence[float], float], List[int]],
-                       layout: Optional[TreeMemoryLayout] = None) -> List[Cluster]:
+                       layout: TreeMemoryLayout) -> List[Cluster]:
+        """Grow clusters query by query, recording the extract kernel's loads."""
         n = len(cloud)
         processed = np.zeros(n, dtype=bool)
         clusters: List[Cluster] = []
@@ -211,33 +191,59 @@ class EuclideanClusterExtractor:
             frontier = deque([seed])
             while frontier:
                 current = frontier.popleft()
-                if recorder is not None and layout is not None:
-                    # The cluster loop reads the query point from the cloud and
-                    # its processed flag; these accesses are part of the extract
-                    # kernel's memory behaviour and keep the point array warm in
-                    # the baseline configuration.
-                    recorder.record_load(layout.point_address(current), 16)
-                    recorder.record_load(layout.flag_address(current), 1)
+                # The cluster loop reads the query point from the cloud and
+                # its processed flag; these accesses are part of the extract
+                # kernel's memory behaviour and keep the point array warm in
+                # the baseline configuration.
+                recorder.record_load(layout.point_address(current), 16)
+                recorder.record_load(layout.flag_address(current), 1)
                 neighbors = search(cloud[current], tolerance)
                 for neighbor in neighbors:
-                    if recorder is not None and layout is not None:
-                        recorder.record_load(layout.flag_address(neighbor), 1)
+                    recorder.record_load(layout.flag_address(neighbor), 1)
                     if not processed[neighbor]:
                         processed[neighbor] = True
                         members.append(neighbor)
                         frontier.append(neighbor)
-                        if recorder is not None and layout is not None:
-                            recorder.record_store(layout.flag_address(neighbor), 1)
-                            recorder.record_store(
-                                layout.queue_address(len(frontier)), 4
-                            )
-            if self.config.min_cluster_size <= len(members) <= self.config.max_cluster_size:
-                points = cloud.points[members].astype(np.float64)
-                clusters.append(
-                    Cluster(
-                        indices=sorted(members),
-                        centroid=points.mean(axis=0),
-                        bbox=BoundingBox.from_points(points),
-                    )
-                )
+                        recorder.record_store(layout.flag_address(neighbor), 1)
+                        recorder.record_store(layout.queue_address(len(frontier)), 4)
+            if self._keeps(len(members)):
+                clusters.append(_make_cluster(cloud, np.sort(np.asarray(members, dtype=np.intp))))
         return clusters
+
+
+def _make_cluster(cloud: PointCloud, members: np.ndarray) -> Cluster:
+    """A cluster of the index-sorted ``members``; the centroid sums them in order."""
+    points = cloud.points[members].astype(np.float64)
+    return Cluster(indices=members.tolist(), centroid=points.mean(axis=0),
+                   bbox=BoundingBox.from_points(points))
+
+
+def _component_roots(neighbors: BatchRadiusResult) -> np.ndarray:
+    """Each point's component root: the lowest point index it is connected to.
+
+    ``neighbors`` is the radius search of every point of the cloud, in point
+    order.  The radius relation is symmetric (``(a - b)**2`` does not depend
+    on the sign of the difference), so each edge is kept once and the
+    components equal what a BFS from the lowest unprocessed point reaches.
+    Labels are found by min-label hooking — every root whose component
+    touches a lower root adopts the lowest one — followed by pointer jumping
+    until every point names its root directly; rounds repeat until no edge
+    joins two components.
+    """
+    n = neighbors.n_queries
+    sources = np.repeat(np.arange(n, dtype=np.intp), neighbors.counts)
+    targets = neighbors.point_indices
+    lower = targets < sources
+    a, b = sources[lower], targets[lower]
+    roots = np.arange(n, dtype=np.intp)
+    while a.size:
+        root_a, root_b = roots[a], roots[b]
+        np.minimum.at(roots, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+        joined = roots[a] != roots[b]
+        a, b = a[joined], b[joined]
+    return roots

@@ -4,7 +4,7 @@ The single-query paths (:mod:`repro.kdtree.knn`,
 :mod:`repro.kdtree.radius_search`) walk the tree once per query and pay the
 Python interpreter for every node.  The perception workloads, however, issue
 queries in large, known batches — every scan point of an NDT iteration, every
-frontier of a euclidean-clustering BFS wave, every ICP correspondence round —
+point of a euclidean-clustering frame, every ICP correspondence round —
 so this module traverses the tree once per *batch*: each node is visited with
 the subset of queries whose search region reaches it, and leaf work becomes
 one ``(queries, points)`` distance matrix per leaf
