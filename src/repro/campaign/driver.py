@@ -112,12 +112,6 @@ class CampaignResult:
         return self.result_dir / "manifest.json"
 
 
-def _close_backend(backend) -> None:
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
-
-
 def _result_divergence_check(kind: str, op: QueryOp, left: str,
                              right: str) -> Callable[[np.ndarray, np.ndarray], bool]:
     """The shrinker predicate: does the pair still diverge on this case?
@@ -134,20 +128,16 @@ def _result_divergence_check(kind: str, op: QueryOp, left: str,
         left_stats, right_stats = SearchStats(), SearchStats()
         left_backend = get_backend(left, tree, stats=left_stats)
         right_backend = get_backend(right, tree, stats=right_stats)
-        try:
-            if op.kind == "radius":
-                left_result = left_backend.radius_search(queries, op.radius)
-                right_result = right_backend.radius_search(queries, op.radius)
-                result_detail = diff_radius(left_result, right_result)
-            else:
-                result_detail = diff_knn(left_backend.knn(queries, op.k),
-                                         right_backend.knn(queries, op.k))
-            if kind == "search-stats":
-                return diff_search_stats(left_stats, right_stats) is not None
-            return result_detail is not None
-        finally:
-            _close_backend(left_backend)
-            _close_backend(right_backend)
+        if op.kind == "radius":
+            left_result = left_backend.radius_search(queries, op.radius)
+            right_result = right_backend.radius_search(queries, op.radius)
+            result_detail = diff_radius(left_result, right_result)
+        else:
+            result_detail = diff_knn(left_backend.knn(queries, op.k),
+                                     right_backend.knn(queries, op.k))
+        if kind == "search-stats":
+            return diff_search_stats(left_stats, right_stats) is not None
+        return result_detail is not None
 
     return diverges
 

@@ -23,9 +23,8 @@ The CLI exposes the most common flows without writing Python:
 ``python -m repro pipeline --scenario <name>``
     Run the end-to-end perception pipeline (clustering → filtering →
     tracking → NDT localization) over a scenario sequence and print the
-    per-stage report.  ``--backend`` selects the execution backend by name
-    (including the multiprocessing ``*-batched-mp`` strategies); with
-    ``--hardware`` the search stages run through the trace-driven
+    per-stage report.  ``--backend`` selects the execution backend by name;
+    with ``--hardware`` the search stages run through the trace-driven
     cache/timing/energy models (:mod:`repro.hwmodel`) and the per-stage
     hardware report (miss ratios, bytes per level, cycles, energy) is
     printed as well.
@@ -153,11 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of queries in the sweep")
     sweep.add_argument("--radius", type=float, default=0.6, help="search radius [m]")
     sweep.add_argument("--k", type=int, default=5, help="neighbours per kNN query")
-    sweep.add_argument("--backend", choices=backends, default=None,
+    sweep.add_argument("--backend", choices=backends, default="baseline-batched",
                        help="execution backend for the radius sweep "
                             "(default: baseline-batched)")
-    sweep.add_argument("--engine", choices=("baseline", "bonsai"), default=None,
-                       help="legacy flavour selector; prefer --backend")
     sweep.add_argument("--compare-loop", action="store_true",
                        help="also time the per-query backend of the same flavour "
                             "and print the speed-up")
@@ -488,22 +485,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_backend(args: argparse.Namespace) -> str:
-    """The sweep's backend name from ``--backend`` (or legacy ``--engine``).
-
-    Contradictory selections (``--engine bonsai --backend baseline-...``)
-    are an error rather than a silent precedence.
-    """
-    engine = getattr(args, "engine", None)
-    if args.backend is not None:
-        if engine is not None and engine != args.backend.split("-", 1)[0]:
-            raise SystemExit(
-                f"repro batch-sweep: --engine {engine} conflicts with "
-                f"--backend {args.backend}")
-        return args.backend
-    return "bonsai-batched" if engine == "bonsai" else "baseline-batched"
-
-
 def _cmd_batch_sweep(args: argparse.Namespace) -> int:
     import time
 
@@ -518,7 +499,7 @@ def _cmd_batch_sweep(args: argparse.Namespace) -> int:
         base = cloud.points[rng.integers(0, len(cloud), args.queries)]
         queries = base.astype(np.float64) + rng.normal(0.0, 0.25, base.shape)
 
-        backend_name = _resolve_backend(args)
+        backend_name = args.backend
         backend = index.backend(backend_name)
 
         start = time.perf_counter()

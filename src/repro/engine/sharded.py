@@ -33,16 +33,14 @@ per-query heaps — see :mod:`repro.runtime.batch`).  Three mechanisms:
   the exact selection kernel of the batched engine
   (:meth:`~repro.runtime.batch.BatchQueryEngine._knn_select`, sort by
   ``(query, d2, point)``, square root applied after selection).  Query
-  batches are processed in contiguous chunks concatenated through the
-  parallel shard-merge helpers (:func:`~repro.engine.parallel.merge_radius_shards`
-  / :func:`~repro.engine.parallel.merge_knn_shards`) in index order, the
-  same contract the ``-mp`` backends are locked to.
+  batches are processed in contiguous chunks (:func:`plan_shards`)
+  concatenated in index order (:func:`merge_radius_shards` /
+  :func:`merge_knn_shards`): any contiguous split of a batch, served chunk
+  by chunk and merged in order, is bitwise identical to serving it whole.
 
-Any registered backend name runs per tile — including the
-``*-batched-mp`` strategies, whose worker pools then shard each tile's
-sub-batch a second time — and the per-tile statistics merge into
-:attr:`search_stats` / :attr:`bonsai_stats` / :attr:`hierarchy_stats`
-exactly like the unsharded facade's.
+Any registered backend name runs per tile, and the per-tile statistics
+merge into :attr:`search_stats` / :attr:`bonsai_stats` /
+:attr:`hierarchy_stats` exactly like the unsharded facade's.
 
 Example
 -------
@@ -78,9 +76,9 @@ from ..runtime.batch import (
 )
 from ..runtime.kernels import rowwise_distances2
 from .index import DEFAULT_BACKEND, PointCloudIndex
-from .parallel import merge_knn_shards, merge_radius_shards, plan_shards
 
-__all__ = ["ShardedPointCloudIndex", "DEFAULT_TILE_SIZE"]
+__all__ = ["ShardedPointCloudIndex", "DEFAULT_TILE_SIZE", "merge_knn_shards",
+           "merge_radius_shards", "plan_shards"]
 
 #: Default XY tile edge length (metres for the built-in scenarios).  At
 #: map-scale point densities (~40 points/m^2 of surface) a 32 m tile holds a
@@ -99,6 +97,58 @@ DEFAULT_CHUNK_QUERIES = 2048
 #: skipping a tile holding an in-range point.
 _BBOX_SLACK_REL = 1e-9
 _BBOX_SLACK_ABS = 1e-12
+
+
+def plan_shards(n_queries: int, n_shards: int) -> List[Tuple[int, int]]:
+    """Contiguous, disjoint ``[start, stop)`` query ranges covering the batch.
+
+    Shard boundaries are ``(i * n) // k`` — deterministic, order-preserving
+    and never empty (the shard count is clamped to the query count).  Any
+    contiguous split yields the same merged result; the split only bounds
+    the size of each chunk's working arrays.
+    """
+    if n_queries < 1:
+        return []
+    k = max(1, min(n_shards, n_queries))
+    bounds = [(i * n_queries) // k for i in range(k + 1)]
+    return [(bounds[i], bounds[i + 1]) for i in range(k)]
+
+
+def merge_radius_shards(shards: Sequence[BatchRadiusResult]) -> BatchRadiusResult:
+    """Concatenate per-shard radius results in shard-index order.
+
+    Because shards are contiguous, disjoint query ranges and every engine
+    returns hits sorted by ``(query, point)``, the concatenation *is* the
+    global ``(query, point)`` order — bitwise identical to serving the
+    whole batch at once.
+    """
+    n_total = sum(shard.n_queries for shard in shards)
+    offsets = np.zeros(n_total + 1, dtype=np.intp)
+    position = 0
+    base = 0
+    chunks: List[np.ndarray] = []
+    for shard in shards:
+        n_queries = shard.n_queries
+        offsets[position + 1:position + n_queries + 1] = base + shard.offsets[1:]
+        position += n_queries
+        base += shard.point_indices.shape[0]
+        chunks.append(shard.point_indices)
+    indices = (np.concatenate(chunks) if chunks
+               else np.zeros(0, dtype=np.intp))
+    return BatchRadiusResult(offsets=offsets, point_indices=indices)
+
+
+def merge_knn_shards(shards: Sequence[BatchKNNResult]) -> BatchKNNResult:
+    """Stack per-shard kNN results in shard-index order.
+
+    kNN rows are per-query, so row-stacking contiguous shards reproduces the
+    whole batch's ``(Q, k)`` arrays exactly (every shard shares the same
+    width — ``min(k, n_points)`` over the same tree).
+    """
+    return BatchKNNResult(
+        indices=np.vstack([shard.indices for shard in shards]),
+        distances=np.vstack([shard.distances for shard in shards]),
+    )
 
 
 class ShardedPointCloudIndex:
@@ -248,12 +298,11 @@ class ShardedPointCloudIndex:
             self.tile_index(tile).ensure_compressed()
 
     def close(self) -> None:
-        """Release every built tile's backends (worker pools included).
+        """Release every built tile's backends.
 
         Idempotent; tile trees and compression stay cached, so later
         queries only rebuild backends, exactly like
-        :meth:`PointCloudIndex.close` — and shutdown-safe the same way
-        (tile closes racing interpreter finalization are swallowed).
+        :meth:`PointCloudIndex.close`.
         """
         for index in self._tile_indexes:
             if index is not None:

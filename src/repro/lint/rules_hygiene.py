@@ -1,6 +1,6 @@
 """Multiprocessing-safety and hygiene rules.
 
-The fork/spawn contract of the engine layer (:mod:`repro.engine.parallel`)
+The fork/spawn contract of the worker pools (:mod:`repro.engine.parallel`)
 is that everything crossing a process boundary pickles: worker callables and
 pool initializers must be module-level functions, because ``spawn`` resolves
 them by qualified name.  A lambda or nested function works under ``fork`` on
@@ -114,8 +114,8 @@ class UnpicklableTaskRule(Rule):
                 yield self.finding(
                     module, candidate,
                     f"nested function {candidate.id!r} is not picklable — "
-                    f"move it to module level (see repro.engine.parallel's "
-                    f"_radius_shard/_knn_shard)")
+                    f"move it to module level (see repro.serve.service's "
+                    f"_serve_one)")
 
 
 #: Default expressions that create a shared mutable object once, at def time.

@@ -1,13 +1,10 @@
 """SharedCloudStore: one compressed point-cloud index, many processes.
 
-The ``*-batched-mp`` backends ship the whole k-d tree to every worker through
-the pool initializer — one pickle per worker, one resident copy per process.
-That is fine for a single backend's private pool, but a *service* wants the
-opposite shape: one resident map serving a fleet of client processes.  This
-module puts the heavy, immutable parts of an index — the float32/float64
-point arrays, the concatenated leaf index lists and the Bonsai
-compressed-structure bytes — into POSIX shared memory
-(:mod:`multiprocessing.shared_memory`), so that
+A *service* wants one resident map serving a fleet of client processes,
+not one pickled copy of the k-d tree per worker.  This module puts the
+heavy, immutable parts of an index — the float32/float64 point arrays, the
+concatenated leaf index lists and the Bonsai compressed-structure bytes —
+into POSIX shared memory (:mod:`multiprocessing.shared_memory`), so that
 
 * the tree is built and compressed **exactly once**, by the creating
   process (``compression_pass_count()`` counts the pass);
@@ -441,8 +438,7 @@ class SharedCloudStore:
         Point arrays, leaf index lists and the compressed-structure bytes
         are views into the shared segments; only the node skeleton is
         process-local.  The tree is pre-compressed (``compressed_array`` is
-        a :class:`SharedStructArray`) and carries ``shared_store_name`` so
-        the ``*-batched-mp`` pools re-attach instead of pickling it.
+        a :class:`SharedStructArray`).
         """
         if self._closed:
             raise ValueError(f"shared store {self.name!r} is closed")
@@ -503,7 +499,6 @@ class SharedCloudStore:
             tree.compressed_array = SharedStructArray(  # type: ignore[attr-defined]
                 fmt, self._segments["cmp"].buf, refs,
                 meta["payload_bits"], meta["compressed_bytes"])
-            tree.shared_store_name = self.name  # type: ignore[attr-defined]
             tree._shared_store = self  # keep the mappings alive with the tree
             self._tree = tree
         return self._tree
@@ -512,8 +507,8 @@ class SharedCloudStore:
         """A :class:`~repro.engine.index.PointCloudIndex` over the shared tree.
 
         Cached per handle.  The tree is already compressed, so every Bonsai
-        backend runs without a local compression pass, and all six registry
-        names work unchanged (the ``*-batched-mp`` pools attach by name).
+        backend runs without a local compression pass, and every registry
+        name works unchanged.
         """
         if self._index is None:
             from ..engine.index import PointCloudIndex

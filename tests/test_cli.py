@@ -72,13 +72,16 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--backend", "warp-drive"])
 
+    def test_batch_sweep_selects_by_backend_only(self):
+        args = build_parser().parse_args(["batch-sweep"])
+        assert args.backend == "baseline-batched"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch-sweep", "--engine", "bonsai"])
+
     def test_conflicting_backend_selections_rejected(self):
         with pytest.raises(SystemExit, match="--bonsai conflicts"):
             main(["pipeline", "--scenario", "urban", "--bonsai",
                   "--backend", "baseline-batched"])
-        with pytest.raises(SystemExit, match="--engine bonsai conflicts"):
-            main(["batch-sweep", "--queries", "10", "--engine", "bonsai",
-                  "--backend", "baseline-perquery"])
         # Consistent combinations still work.
         args = build_parser().parse_args(
             ["pipeline", "--bonsai", "--backend", "bonsai-perquery"])
@@ -266,11 +269,21 @@ class TestCommands:
             main(["pipeline", "--scenario", "mars_colony"])
 
     def test_pipeline_mp_backend_by_name(self, capsys):
-        code = main(["pipeline", "--scenario", "urban", "--frames", "2",
-                     "--beams", "10", "--azimuth-steps", "90",
-                     "--backend", "baseline-batched-mp", "--no-localization"])
-        assert code == 0
-        assert "via baseline-batched-mp" in capsys.readouterr().out
+        # The multiprocessing backends were removed: their old name is
+        # rejected before any frame runs, and the error names the backends
+        # that remain.
+        from repro.engine import backend_names
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pipeline", "--scenario", "urban", "--frames", "2",
+                  "--beams", "10", "--azimuth-steps", "90",
+                  "--backend", "baseline-batched-mp", "--no-localization"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "via " not in captured.out
+        assert "invalid choice: 'baseline-batched-mp'" in captured.err
+        for name in backend_names():
+            assert name in captured.err
 
     def test_hw_sweep_matrix(self, capsys):
         code = main(["hw-sweep", "--scenario", "urban", "--frames", "2",
@@ -299,12 +312,15 @@ class TestErrorPaths:
         from repro.engine import backend_names
 
         for command in ("pipeline", "batch-sweep", "hw-sweep", "campaign"):
-            with pytest.raises(SystemExit) as excinfo:
-                main([command, "--backend", "warp-drive"])
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            for name in backend_names():
-                assert name in err, (command, name)
+            # The multiprocessing backends were removed; their old names
+            # are rejected like any other unknown name.
+            for unknown in ("warp-drive", "baseline-batched-mp"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, "--backend", unknown])
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                for name in backend_names():
+                    assert name in err, (command, unknown, name)
 
     def test_unknown_scenario_lists_registry_choices(self):
         from repro.scenarios import scenario_names

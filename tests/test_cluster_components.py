@@ -24,9 +24,6 @@ from repro.pointcloud import PointCloud
 
 TOLERANCE = 0.6
 SIZES = ClusterConfig(tolerance=TOLERANCE, min_cluster_size=3, max_cluster_size=40)
-#: Single-process backends; the -mp ones get a fixed-cloud test below
-#: (each new tree starts a worker pool, too slow per hypothesis example).
-FAST_BACKENDS = [name for name in backend_names() if not name.endswith("-mp")]
 
 
 def _random_cloud(seed: int) -> np.ndarray:
@@ -114,21 +111,11 @@ def _assert_one_query_matches_bfs(points: np.ndarray, name: str) -> None:
 
 class TestOneQueryClustering:
     @settings(max_examples=60, deadline=None)
-    @given(points=clouds(), name=st.sampled_from(FAST_BACKENDS))
+    @given(points=clouds(), name=st.sampled_from(backend_names()))
     def test_matches_recorded_bfs(self, points, name):
         if not len(points):
             return
         _assert_one_query_matches_bfs(points, name)
-
-    @pytest.mark.parametrize("name", [n for n in backend_names() if n.endswith("-mp")])
-    def test_pooled_backends_match_recorded_bfs(self, name):
-        rng = np.random.default_rng(5)
-        points = np.vstack([_chain(rng, 80), _blob(rng, SIZES.min_cluster_size),
-                            _blob(rng, SIZES.max_cluster_size),
-                            _multiscale_blob(rng, SIZES.max_cluster_size),
-                            _random_cloud(3)])
-        _assert_one_query_matches_bfs(points[rng.permutation(len(points))]
-                                      .astype(np.float32), name)
 
     def test_long_shuffled_chain_is_one_cluster(self):
         rng = np.random.default_rng(9)

@@ -48,6 +48,10 @@ class TestRegistry:
         assert set(names) >= {"baseline-perquery", "baseline-batched",
                               "bonsai-perquery", "bonsai-batched"}
 
+    def test_registry_holds_exactly_the_four_backends(self):
+        assert backend_names() == ["baseline-batched", "baseline-perquery",
+                                   "bonsai-batched", "bonsai-perquery"]
+
     def test_unknown_backend_lists_options(self, small_case):
         tree, _ = small_case
         with pytest.raises(KeyError, match="baseline-batched"):
@@ -88,6 +92,12 @@ class TestExecutionConfig:
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown backend"):
             ExecutionConfig(backend="baseline")
+
+    def test_removed_mp_backend_rejected_with_listing(self):
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            ExecutionConfig(backend="bonsai-batched-mp")
+        for name in backend_names():
+            assert name in str(excinfo.value)
 
     def test_with_flavor_and_hardware(self):
         config = ExecutionConfig(backend="baseline-perquery")

@@ -1,27 +1,32 @@
 """Property-based edge tests of the shard plan/merge machinery.
 
-The ``-mp`` backends rest on one invariant: *any* contiguous split of a
-query batch, served shard by shard and merged in shard order, is bitwise
-identical to serving the whole batch at once.  Hypothesis drives the split
-through the edges a fixed unit test would miss — empty shard lists,
-single-query batches, zero-hit queries, duplicate kNN distances, and shard
-counts far beyond the query count.
+The sharded index's query chunks rest on one invariant: *any* contiguous
+split of a query batch, served shard by shard and merged in shard order, is
+bitwise identical to serving the whole batch at once.  Hypothesis drives
+the split through the edges a fixed unit test would miss — empty shard
+lists, single-query batches, zero-hit queries, duplicate kNN distances, and
+shard counts far beyond the query count.  The fixed tests at the end check
+that shards finishing in any order still merge, results and statistics,
+into the whole batch's output.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bonsai_search import BonsaiStats
 from repro.engine import get_backend
-from repro.engine.parallel import (
+from repro.engine.sharded import (
     merge_knn_shards,
     merge_radius_shards,
     plan_shards,
 )
-from repro.kdtree import build_kdtree
+from repro.kdtree import SearchStats, build_kdtree
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +166,73 @@ class TestMergeKnnShards:
              for start, stop in ranges])
         assert np.array_equal(merged.offsets, whole.offsets)
         assert np.array_equal(merged.point_indices, whole.point_indices)
+
+
+# ----------------------------------------------------------------------
+# Order independence of the merge
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def batch_case():
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-15.0, 15.0, (5000, 3)).astype(np.float32)
+    tree = build_kdtree(points)
+    base = points[rng.integers(0, len(points), 400)]
+    queries = base.astype(np.float64) + rng.normal(0.0, 0.3, base.shape)
+    return tree, queries
+
+
+def _stats_tuple(stats: SearchStats):
+    return (stats.queries, stats.leaves_visited, stats.interior_visited,
+            stats.points_examined, stats.points_in_radius,
+            stats.point_bytes_loaded, stats.leaf_visit_counts)
+
+
+@pytest.mark.parametrize("inner", ["baseline-batched", "bonsai-batched"])
+def test_shuffled_completion_order_same_merge(batch_case, inner):
+    """Shuffled shard completion order cannot change any merged output."""
+    tree, queries = batch_case
+    want = get_backend(inner, tree).radius_search(queries, 0.8)
+    want_stats = SearchStats()
+    get_backend(inner, tree, stats=want_stats).radius_search(queries, 0.8)
+
+    parts = []
+    for start, stop in plan_shards(queries.shape[0], 4):
+        stats = SearchStats()
+        backend = get_backend(inner, tree, stats=stats)
+        result = backend.radius_search(queries[start:stop], 0.8)
+        parts.append((result, stats, backend.bonsai_stats))
+    for seed in (0, 1, 2):
+        # Simulate shards finishing in arbitrary order: shuffle the
+        # (index, part) arrivals, then merge results by shard index and
+        # statistics by commutative merge in arrival order.
+        arrivals = list(enumerate(parts))
+        np.random.default_rng(seed).shuffle(arrivals)
+        by_index = [part for _, part in sorted(arrivals, key=lambda a: a[0])]
+        merged = merge_radius_shards([result for result, _, _ in by_index])
+        assert np.array_equal(merged.offsets, want.offsets)
+        assert np.array_equal(merged.point_indices, want.point_indices)
+
+        merged_stats = SearchStats()
+        merged_bonsai = None
+        for _, (_, stats, bonsai) in arrivals:
+            merged_stats.merge(stats)
+            if bonsai is not None:
+                if merged_bonsai is None:
+                    merged_bonsai = BonsaiStats()
+                merged_bonsai.merge(bonsai)
+        assert _stats_tuple(merged_stats) == _stats_tuple(want_stats)
+        if merged_bonsai is not None:
+            reference = get_backend(inner, tree)
+            reference.radius_search(queries, 0.8)
+            assert dataclasses.asdict(merged_bonsai) == \
+                dataclasses.asdict(reference.bonsai_stats)
+
+
+def test_knn_merge_is_pure_row_stacking(batch_case):
+    tree, queries = batch_case
+    want = get_backend("baseline-batched", tree).knn(queries, 6)
+    shards = [get_backend("baseline-batched", tree).knn(queries[start:stop], 6)
+              for start, stop in plan_shards(queries.shape[0], 5)]
+    merged = merge_knn_shards(shards)
+    assert np.array_equal(merged.indices, want.indices)
+    assert np.array_equal(merged.distances, want.distances)

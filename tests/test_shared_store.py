@@ -260,18 +260,3 @@ class TestQueryService:
             assert SharedCloudStore.exists(store.name)
             with pytest.raises(ValueError):
                 service.serve([("radius", queries, 0.5, "baseline-batched")])
-
-    def test_mp_backend_pool_attaches_by_name(self, cloud):
-        """The ``*-batched-mp`` pool path over a shared tree (no pickle)."""
-        rng = np.random.default_rng(43)
-        base = cloud[rng.integers(0, len(cloud), 200)]
-        big = base.astype(np.float64) + rng.normal(0.0, 0.25, base.shape)
-        with PointCloudIndex(cloud) as local, \
-                SharedCloudStore.create(cloud) as store:
-            with store.index() as served:
-                got = served.radius_search(big, 0.6,
-                                           backend="bonsai-batched-mp")
-                ref = local.radius_search(big, 0.6,
-                                          backend="bonsai-batched-mp")
-                assert np.array_equal(got.offsets, ref.offsets)
-                assert np.array_equal(got.point_indices, ref.point_indices)
