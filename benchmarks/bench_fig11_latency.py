@@ -11,7 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_boxplot_figure
-from repro.workloads import EuclideanClusterPipeline, PipelineConfig
+from repro.engine import ExecutionConfig
+
+#: The trace-driven baseline mode the figure is measured in.
+BASELINE_HW = ExecutionConfig(backend="baseline-batched", hardware=True)
 
 from paper_reference import PAPER, write_result
 
@@ -53,7 +56,7 @@ def test_fig11_end_to_end_frame(benchmark, pipeline, bench_sequence):
     cloud = bench_sequence.frame(0)
 
     def run():
-        return pipeline.run_frame(cloud, use_bonsai=False).end_to_end_seconds
+        return pipeline.run_frame(cloud, execution=BASELINE_HW).end_to_end_seconds
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0
 
@@ -62,18 +65,18 @@ def test_fig11_batched_engine_matches_functional_counters(benchmark, pipeline,
                                                           bench_sequence):
     """The batched query engine serves the same frame with identical stats.
 
-    With cache simulation disabled the extract kernel runs its cluster growth
-    through :mod:`repro.runtime` (one batched radius query over all points).
-    The functional search counters that drive the latency model must be
+    Without ``hardware`` the extract kernel runs its cluster growth through
+    :mod:`repro.runtime` (one batched radius query over all points).  The
+    functional search counters that drive the latency model must be
     identical to the per-query trace-driven run.
     """
     cloud = bench_sequence.frame(0)
-    batched_pipeline = EuclideanClusterPipeline(PipelineConfig(simulate_caches=False))
 
     batched = benchmark.pedantic(
-        batched_pipeline.run_frame, args=(cloud,), kwargs={"use_bonsai": False},
+        pipeline.run_frame, args=(cloud,),
+        kwargs={"execution": ExecutionConfig(backend="baseline-batched")},
         rounds=1, iterations=1)
-    reference = pipeline.run_frame(cloud, use_bonsai=False)
+    reference = pipeline.run_frame(cloud, execution=BASELINE_HW)
 
     assert batched.n_clusters == reference.n_clusters
     for attribute in ("queries", "leaves_visited", "interior_visited",

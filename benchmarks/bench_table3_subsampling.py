@@ -12,7 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
+from repro.engine import ExecutionConfig
 from repro.workloads import evaluate_subsampling
+
+#: The trace-driven baseline mode the table is measured in.
+BASELINE_HW = ExecutionConfig(backend="baseline-batched", hardware=True)
 
 from paper_reference import PAPER, write_result
 
@@ -20,7 +24,7 @@ from paper_reference import PAPER, write_result
 @pytest.fixture(scope="module")
 def subsampling_errors(bench_sequence, pipeline):
     return evaluate_subsampling(bench_sequence, n_samples=3, sample_length=1,
-                                pipeline=pipeline)
+                                pipeline=pipeline, execution=BASELINE_HW)
 
 
 def test_table3_report(benchmark, subsampling_errors):
@@ -57,6 +61,6 @@ def test_table3_subsampling_kernel(benchmark, bench_sequence, pipeline):
     cloud = bench_sequence.frame(0)
 
     def run():
-        return pipeline.run_frame(cloud, use_bonsai=False).extract.ipc
+        return pipeline.run_frame(cloud, execution=BASELINE_HW).extract.ipc
 
     assert benchmark.pedantic(run, rounds=1, iterations=1) > 0

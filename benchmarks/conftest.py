@@ -25,6 +25,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.analysis import compare_measurements
+from repro.engine import ExecutionConfig
 from repro.pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
 from repro.workloads import EuclideanClusterPipeline
 
@@ -58,13 +59,15 @@ def pipeline() -> EuclideanClusterPipeline:
 @pytest.fixture(scope="session")
 def baseline_measurements(pipeline, bench_clouds):
     """Per-frame measurements of the baseline configuration."""
-    return pipeline.run_frames(bench_clouds, use_bonsai=False)
+    return pipeline.run_frames(bench_clouds, execution=ExecutionConfig(
+        backend="baseline-batched", hardware=True))
 
 
 @pytest.fixture(scope="session")
 def bonsai_measurements(pipeline, bench_clouds):
     """Per-frame measurements of the Bonsai configuration."""
-    return pipeline.run_frames(bench_clouds, use_bonsai=True)
+    return pipeline.run_frames(bench_clouds, execution=ExecutionConfig(
+        backend="bonsai-batched", hardware=True))
 
 
 @pytest.fixture(scope="session")

@@ -178,13 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="LiDAR beams (default: the scenario's)")
     pipeline.add_argument("--azimuth-steps", type=int, default=None,
                           help="LiDAR azimuth steps (default: the scenario's)")
-    pipeline.add_argument("--backend", choices=backends, default=None,
+    pipeline.add_argument("--backend", choices=backends, default="baseline-batched",
                           help="execution backend serving the search stages "
-                               "(default: baseline-batched, or bonsai-batched "
-                               "with --bonsai)")
-    pipeline.add_argument("--bonsai", action="store_true",
-                          help="use the K-D Bonsai compressed search "
-                               "(shorthand for --backend bonsai-batched)")
+                               "(default: baseline-batched)")
     pipeline.add_argument("--no-localization", action="store_true",
                           help="skip the NDT localization stage")
     pipeline.add_argument("--hardware", action="store_true",
@@ -439,6 +435,7 @@ def _cmd_compress_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    from .engine import ExecutionConfig
     from .perception import ClusterConfig, EuclideanClusterExtractor, label_clusters
     from .perception.cluster_filter import match_clusters_to_labels
     from .pointcloud import preprocess_for_clustering
@@ -446,7 +443,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     sequence = _sequence(args.frame + 1, args.seed)
     cloud = preprocess_for_clustering(sequence.frame(args.frame))
     extractor = EuclideanClusterExtractor(
-        ClusterConfig(tolerance=args.tolerance), use_bonsai=args.bonsai)
+        ClusterConfig(tolerance=args.tolerance),
+        execution=ExecutionConfig(
+            backend="bonsai-batched" if args.bonsai else "baseline-batched"))
     result = extractor.extract(cloud)
     detections = label_clusters(cloud, result.clusters)
     histogram = match_clusters_to_labels(detections)
@@ -465,13 +464,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis import compare_measurements, render_fig9a, render_fig9b
+    from .engine import ExecutionConfig
     from .workloads import EuclideanClusterPipeline
 
     sequence = _sequence(args.frames, args.seed)
     clouds = [sequence.frame(i) for i in range(args.frames)]
     pipeline = EuclideanClusterPipeline()
-    baseline = pipeline.run_frames(clouds, use_bonsai=False)
-    bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+    baseline = pipeline.run_frames(clouds, execution=ExecutionConfig(
+        backend="baseline-batched", hardware=True))
+    bonsai = pipeline.run_frames(clouds, execution=ExecutionConfig(
+        backend="bonsai-batched", hardware=True))
     summary = compare_measurements(baseline, bonsai)
 
     print(render_fig9a(summary))
@@ -570,14 +572,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     from .workloads import PipelineRunner, PipelineRunnerConfig
 
     _check_scenarios("pipeline", [args.scenario])
-    backend = args.backend
-    if backend is None:
-        backend = "bonsai-batched" if args.bonsai else "baseline-batched"
-    elif args.bonsai and not backend.startswith("bonsai-"):
-        raise SystemExit(
-            f"repro pipeline: --bonsai conflicts with --backend {backend}")
     config = PipelineRunnerConfig(
-        execution=ExecutionConfig(backend=backend, hardware=args.hardware),
+        execution=ExecutionConfig(backend=args.backend, hardware=args.hardware),
         localization=not args.no_localization,
     )
     runner = PipelineRunner.from_scenario(

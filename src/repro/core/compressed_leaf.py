@@ -94,8 +94,7 @@ class DecodedLeafTable:
     :func:`~repro.core.leaf_compression.decompress_leaf` on a leaf's first
     visit, so each leaf is decoded at most once per tree, even under
     concurrent searches from several threads.  Readers still charge the
-    byte and slice accounting on every visit, as the hardware would.  The
-    table is not pickled: a worker process decodes into its own.
+    byte and slice accounting on every visit, as the hardware would.
     """
 
     def __init__(self) -> None:
@@ -130,15 +129,6 @@ class DecodedLeafTable:
                 f"decompression requested with {fmt.name!r}"
             )
         return entry
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_decoded"], state["_decode_lock"], state["_lock_pid"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        DecodedLeafTable.__init__(self)
 
 
 class CompressedStructArray(DecodedLeafTable):

@@ -5,8 +5,8 @@ within ``r`` of these queries?", "which ``k`` points are nearest?"):
 per-query baseline search, the batched vectorised engine, and the Bonsai
 compressed variants of both — plus a recorded flavour that streams every
 tree access through the trace-driven cache simulation.  Each spelled its own
-API, so every consumer (workloads, benchmarks, the CLI) carried
-``use_bonsai`` / ``simulate_caches`` / ``hardware`` boolean triples.
+API; consumers now pick one by name through
+:class:`~repro.engine.execution.ExecutionConfig`.
 
 This module normalises them behind one :class:`SearchBackend` protocol:
 

@@ -1,9 +1,8 @@
 """ExecutionConfig: the execution mode of a workload as one value.
 
-Before the engine layer existed, every consumer threaded a boolean triple
-(``use_bonsai`` / ``simulate_caches`` / ``hardware``) through its own config
-dataclasses.  :class:`ExecutionConfig` replaces the triple: a backend *name*
-(from :mod:`repro.engine.registry`), a ``hardware`` switch that routes the
+:class:`ExecutionConfig` is the one way to choose how a workload searches,
+from the perception layer up to the CLI: a backend *name* (from
+:mod:`repro.engine.registry`), a ``hardware`` switch that routes the
 searches through the trace-driven cache simulation, and an optional
 ``cache_config`` overriding the recorded machine's cache geometry — which is
 what makes cache-geometry sensitivity sweeps a config change instead of new
@@ -12,7 +11,7 @@ plumbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .backends import SearchBackend
@@ -71,18 +70,6 @@ class ExecutionConfig:
     def use_bonsai(self) -> bool:
         """Whether the backend searches compressed (K-D Bonsai) leaves."""
         return self.flavor == "bonsai"
-
-    # ------------------------------------------------------------------
-    # Functional updates
-    # ------------------------------------------------------------------
-    def with_flavor(self, use_bonsai: bool) -> "ExecutionConfig":
-        """This config with the backend's leaf format replaced."""
-        flavor = "bonsai" if use_bonsai else "baseline"
-        return replace(self, backend=f"{flavor}-{self.strategy}")
-
-    def with_hardware(self, hardware: bool) -> "ExecutionConfig":
-        """This config with the ``hardware`` switch replaced."""
-        return replace(self, hardware=hardware)
 
     # ------------------------------------------------------------------
     # Backend construction

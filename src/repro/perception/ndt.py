@@ -167,22 +167,18 @@ class NDTMatcher:
     summation order of the NDT score is preserved.
     """
 
-    def __init__(self, ndt_map: NDTMap, use_bonsai: bool = False,
+    def __init__(self, ndt_map: NDTMap,
                  recorder: Optional[MemoryRecorder] = None,
                  execution: Optional[ExecutionConfig] = None):
         self.map = ndt_map
         self.config = ndt_map.config
-        if execution is None:
-            execution = ExecutionConfig(
-                backend="bonsai-batched" if use_bonsai else "baseline-batched")
-        self.execution = execution
-        self.use_bonsai = execution.use_bonsai
+        self.execution = execution = execution or ExecutionConfig()
         if recorder is None and execution.hardware:
             recorder = execution.make_recorder()
         self.recorder = recorder
         if recorder is not None:
             layout = TreeMemoryLayout(n_points=ndt_map.tree.n_points)
-            if self.use_bonsai:
+            if execution.use_bonsai:
                 # Compress the map tree *before* attaching the recorder: map
                 # preparation is offline (unlike the per-frame clustering
                 # trees), so its compression traffic must neither enter the

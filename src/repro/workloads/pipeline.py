@@ -35,9 +35,11 @@ by the golden snapshots of ``tests/test_golden_hardware.py``.
 
 Example
 -------
+>>> from repro.engine import ExecutionConfig
 >>> from repro.workloads import PipelineRunner
 >>> result = PipelineRunner.from_scenario(          # doctest: +SKIP
-...     "tunnel", n_frames=4, backend="bonsai-batched").run()
+...     "tunnel", n_frames=4,
+...     execution=ExecutionConfig(backend="bonsai-batched")).run()
 >>> result.metrics()["clusters_total"]              # doctest: +SKIP
 42
 """
@@ -52,7 +54,7 @@ import numpy as np
 
 from ..core.bonsai_search import BonsaiStats
 from ..engine.execution import ExecutionConfig
-from ..hwmodel.cache import HierarchyStats
+from ..hwmodel.cache import HierarchyRecorder, HierarchyStats
 from ..hwmodel.energy import EnergyModel
 from ..hwmodel.report import StageHardwareReport
 from ..hwmodel.timing import TimingModel
@@ -75,13 +77,6 @@ __all__ = [
 ]
 
 
-def _default_pipeline_config() -> PipelineConfig:
-    # By default the runner serves every frame through the batched engine;
-    # the trace-driven cache simulation (which forces the recorded per-query
-    # backend) is opted into end-to-end via ``ExecutionConfig(hardware=True)``.
-    return PipelineConfig(simulate_caches=False)
-
-
 def _default_localization_config() -> LocalizationConfig:
     # Coarser voxels and a lower occupancy threshold than the map-scale
     # defaults, so localization stays solvable on the sparse worlds
@@ -99,10 +94,7 @@ class PipelineRunnerConfig:
     The execution mode — which search backend serves the clustering and
     localization stages, and whether the searches run through the
     trace-driven hardware models — is one value, ``execution``
-    (:class:`~repro.engine.execution.ExecutionConfig`).  The pre-engine
-    boolean pair (``PipelineRunnerConfig(use_bonsai=..., hardware=...)``)
-    went through its deprecation cycle and has been removed; spell the mode
-    as ``execution=ExecutionConfig(backend=<name>, hardware=...)``.
+    (:class:`~repro.engine.execution.ExecutionConfig`).
     """
 
     #: The execution mode (backend name, hardware switch, cache geometry).
@@ -112,8 +104,8 @@ class PipelineRunnerConfig:
     #: ``(n_samples, sample_length)`` systematic frame sub-sampling applied to
     #: the selected frames (``None``: process every selected frame).
     subsample: Optional[Tuple[int, int]] = None
-    #: Euclidean-cluster pipeline configuration (batched engine by default).
-    pipeline: PipelineConfig = field(default_factory=_default_pipeline_config)
+    #: Euclidean-cluster stage configuration (filters, clustering, cost models).
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     #: Detection-extent bounds of the cluster-filtering stage.
     min_detection_extent: float = 0.2
     max_detection_extent: float = 18.0
@@ -325,19 +317,15 @@ class PipelineRunner:
 
     @classmethod
     def from_scenario(cls, name: str, config: Optional[PipelineRunnerConfig] = None,
-                      use_bonsai: Optional[bool] = None,
                       n_frames: Optional[int] = None, seed: Optional[int] = None,
                       n_beams: Optional[int] = None,
                       n_azimuth_steps: Optional[int] = None,
-                      hardware: Optional[bool] = None,
-                      backend: Optional[str] = None,
                       execution: Optional[ExecutionConfig] = None) -> "PipelineRunner":
         """Build a runner for a registered scenario (see :mod:`repro.scenarios`).
 
         The execution mode resolves in precedence order: the explicit
-        ``execution`` argument, then ``backend`` / ``use_bonsai`` /
-        ``hardware`` tweaks, then the caller's ``config.execution``, then the
-        scenario's own execution default (``spec.execution``), then the
+        ``execution`` argument, then the caller's ``config.execution``, then
+        the scenario's own execution default (``spec.execution``), then the
         global default.  Scenario ``pipeline_overrides`` apply only when the
         caller passes no explicit ``config`` (an explicit config is taken
         verbatim).
@@ -352,17 +340,10 @@ class PipelineRunner:
             if spec.execution is not None and "execution" not in overrides:
                 overrides["execution"] = spec.execution
             config = PipelineRunnerConfig(**overrides)
-        resolved = execution if execution is not None else config.execution
-        if backend is not None:
-            resolved = replace(resolved, backend=backend)
-        if use_bonsai is not None and use_bonsai != resolved.use_bonsai:
-            resolved = resolved.with_flavor(use_bonsai)
-        if hardware is not None and hardware != resolved.hardware:
-            resolved = resolved.with_hardware(hardware)
-        if resolved is not config.execution:
+        if execution is not None:
             # Never mutate the caller's config: one config object must be
             # reusable for a baseline-then-Bonsai comparison.
-            config = replace(config, execution=resolved)
+            config = replace(config, execution=execution)
         return cls(sequence, scenario=name, config=config)
 
     # ------------------------------------------------------------------
@@ -378,8 +359,7 @@ class PipelineRunner:
         clouds = [self.sequence.frame(i) for i in indices]
         stage_seconds["generate"] = time.perf_counter() - start
 
-        pipeline_config, frame_execution, cluster_pipeline = (
-            self._cluster_stage_setup())
+        cluster_pipeline = EuclideanClusterPipeline(config.pipeline)
         fold = FrameFold(config, config.execution)
 
         cluster_s = 0.0
@@ -387,31 +367,16 @@ class PipelineRunner:
         for index, cloud in zip(indices, clouds):
             start = time.perf_counter()
             measurement = cluster_pipeline.run_frame(
-                cloud, frame_index=index, execution=frame_execution)
+                cloud, frame_index=index, execution=config.execution)
             cluster_s += time.perf_counter() - start
             track_s += fold.fold(index, cloud, measurement)
         stage_seconds["cluster"] = cluster_s
         stage_seconds["track"] = track_s
 
-        return self._finish(indices, clouds, fold, pipeline_config,
-                            stage_seconds)
-
-    def _cluster_stage_setup(self) -> Tuple[PipelineConfig, ExecutionConfig,
-                                            EuclideanClusterPipeline]:
-        """The per-frame stage's shared, immutable inputs."""
-        execution = self.config.execution
-        pipeline_config = self.config.pipeline
-        frame_execution = execution
-        if pipeline_config.simulate_caches and not execution.hardware:
-            # A cache-simulating PipelineConfig keeps its per-frame recording
-            # even when the runner itself is not in hardware-in-the-loop mode
-            # (no per-stage hardware report is produced in that case).
-            frame_execution = execution.with_hardware(True)
-        return pipeline_config, frame_execution, EuclideanClusterPipeline(
-            pipeline_config)
+        return self._finish(indices, clouds, fold, stage_seconds)
 
     def _finish(self, indices: Sequence[int], clouds: Sequence,
-                fold: FrameFold, pipeline_config: PipelineConfig,
+                fold: FrameFold,
                 stage_seconds: Dict[str, float]) -> PipelineRunResult:
         """The serial tail every runner shares: localization + assembly."""
         config = self.config
@@ -439,7 +404,7 @@ class PipelineRunner:
         hardware_stages = None
         if execution.hardware:
             hardware_stages = self._hardware_stages(
-                pipeline_config, fold.measurements, fold.cluster_bonsai,
+                fold.measurements, fold.cluster_bonsai,
                 localization, localization_recorder, localization_pipeline)
 
         return PipelineRunResult(
@@ -523,7 +488,7 @@ class PipelineRunner:
         return report, pipeline
 
     def _hardware_stages(
-            self, pipeline_config, measurements: List[FrameMeasurement],
+            self, measurements: List[FrameMeasurement],
             cluster_bonsai: Optional[BonsaiStats],
             localization: Optional[LocalizationReport],
             localization_recorder: Optional[HierarchyRecorder],
@@ -534,10 +499,11 @@ class PipelineRunner:
         Both stages go through the same :meth:`StageHardwareReport.from_trace`
         path: access/miss counts come from the recorded trace (exact), and
         the instruction estimates feed each stage's own timing/energy models
-        (clustering: ``pipeline_config``; localization:
+        (clustering: ``config.pipeline``; localization:
         ``localization_config`` — identical Table IV machines by default),
         so the per-stage cycle and energy figures are directly comparable.
         """
+        pipeline_config = self.config.pipeline
         cluster_trace = HierarchyStats()
         for measurement in measurements:
             if measurement.hierarchy is not None:

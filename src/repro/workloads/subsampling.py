@@ -15,8 +15,9 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..engine.execution import ExecutionConfig
 from ..pointcloud.sequence import DrivingSequence, systematic_subsample
-from .autoware import EuclideanClusterPipeline, FrameMeasurement, PipelineConfig
+from .autoware import EuclideanClusterPipeline, FrameMeasurement
 
 __all__ = ["SubsamplingErrors", "evaluate_subsampling", "measure_sequence"]
 
@@ -43,15 +44,16 @@ class SubsamplingErrors:
 
 
 def measure_sequence(sequence: DrivingSequence, indices: Optional[Sequence[int]] = None,
-                     pipeline: Optional[EuclideanClusterPipeline] = None,
-                     use_bonsai: bool = False) -> List[FrameMeasurement]:
+                     pipeline: Optional[EuclideanClusterPipeline] = None, *,
+                     execution: ExecutionConfig) -> List[FrameMeasurement]:
     """Run the euclidean-cluster pipeline over (a subset of) a sequence."""
     pipeline = pipeline or EuclideanClusterPipeline()
     measurements: List[FrameMeasurement] = []
     frame_indices = list(indices) if indices is not None else list(range(len(sequence)))
     for index in frame_indices:
         cloud = sequence.frame(index)
-        measurements.append(pipeline.run_frame(cloud, frame_index=index, use_bonsai=use_bonsai))
+        measurements.append(pipeline.run_frame(cloud, frame_index=index,
+                                               execution=execution))
     return measurements
 
 
@@ -79,11 +81,11 @@ def _miss_ratio(measurements: Iterable[FrameMeasurement], level: str) -> float:
 
 
 def evaluate_subsampling(sequence: DrivingSequence, n_samples: int, sample_length: int,
-                         pipeline: Optional[EuclideanClusterPipeline] = None,
-                         use_bonsai: bool = False) -> SubsamplingErrors:
+                         pipeline: Optional[EuclideanClusterPipeline] = None, *,
+                         execution: ExecutionConfig) -> SubsamplingErrors:
     """Compare sub-sampled metrics against the full sequence (Table III)."""
     pipeline = pipeline or EuclideanClusterPipeline()
-    full = measure_sequence(sequence, None, pipeline, use_bonsai)
+    full = measure_sequence(sequence, None, pipeline, execution=execution)
     indices = systematic_subsample(len(sequence), n_samples, sample_length)
     sampled = [m for m in full if m.frame_index in set(indices)]
 

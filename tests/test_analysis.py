@@ -23,6 +23,7 @@ from repro.analysis import (
     table1_classification_errors,
 )
 from repro.core.floatfmt import BFLOAT16, FLOAT16, FLOAT24
+from repro.engine import ExecutionConfig
 from repro.hwmodel import TABLE_V, estimate_bonsai_area
 from repro.kdtree import SearchStats, build_kdtree, radius_search
 from repro.pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
@@ -109,8 +110,10 @@ class TestCompareMeasurements:
             lidar=LidarConfig(n_beams=16, n_azimuth_steps=180, seed=80)))
         pipeline = EuclideanClusterPipeline()
         clouds = [sequence.frame(i) for i in range(2)]
-        baseline = pipeline.run_frames(clouds, use_bonsai=False)
-        bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+        baseline = pipeline.run_frames(clouds, execution=ExecutionConfig(
+            backend="baseline-batched", hardware=True))
+        bonsai = pipeline.run_frames(clouds, execution=ExecutionConfig(
+            backend="bonsai-batched", hardware=True))
         return compare_measurements(baseline, bonsai)
 
     def test_fig9a_directions(self, summary):

@@ -38,16 +38,18 @@ class TestParser:
 
     def test_pipeline_flags(self):
         args = build_parser().parse_args(
-            ["pipeline", "--scenario", "tunnel", "--frames", "2", "--bonsai"])
+            ["pipeline", "--scenario", "tunnel", "--frames", "2",
+             "--backend", "bonsai-batched"])
         assert args.scenario == "tunnel"
         assert args.frames == 2
-        assert args.bonsai is True
+        assert args.backend == "bonsai-batched"
         assert args.no_localization is False
         assert args.hardware is False
 
     def test_pipeline_hardware_flag(self):
         args = build_parser().parse_args(["pipeline", "--hardware"])
         assert args.hardware is True
+        assert args.backend == "baseline-batched"
 
     def test_help_names_every_registered_scenario(self):
         """--help must list the registry's scenarios, with no drift."""
@@ -77,15 +79,6 @@ class TestParser:
         assert args.backend == "baseline-batched"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch-sweep", "--engine", "bonsai"])
-
-    def test_conflicting_backend_selections_rejected(self):
-        with pytest.raises(SystemExit, match="--bonsai conflicts"):
-            main(["pipeline", "--scenario", "urban", "--bonsai",
-                  "--backend", "baseline-batched"])
-        # Consistent combinations still work.
-        args = build_parser().parse_args(
-            ["pipeline", "--bonsai", "--backend", "bonsai-perquery"])
-        assert args.backend == "bonsai-perquery"
 
     def test_help_names_every_registered_backend(self):
         """--help must list the backend registry's names, with no drift."""
@@ -231,7 +224,7 @@ class TestCommands:
     def test_pipeline_bonsai_no_localization(self, capsys):
         code = main(["pipeline", "--scenario", "urban", "--frames", "2",
                      "--beams", "12", "--azimuth-steps", "90",
-                     "--bonsai", "--no-localization"])
+                     "--backend", "bonsai-perquery", "--no-localization"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Bonsai-extensions search" in out
@@ -321,6 +314,16 @@ class TestErrorPaths:
                 err = capsys.readouterr().err
                 for name in backend_names():
                     assert name in err, (command, unknown, name)
+
+    def test_removed_pipeline_bonsai_flag_exits_2(self, capsys):
+        # `--backend bonsai-batched` is the one spelling; the old shorthand
+        # is an unknown argument, alone or beside --backend.
+        for argv in (["pipeline", "--bonsai"],
+                     ["pipeline", "--bonsai", "--backend", "baseline-batched"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --bonsai" in capsys.readouterr().err
 
     def test_unknown_scenario_lists_registry_choices(self):
         from repro.scenarios import scenario_names

@@ -11,7 +11,6 @@ concurrent searches from several threads.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import sys
 import threading
 import time
@@ -26,8 +25,7 @@ from repro.core.bonsai_knn import BonsaiNearestNeighbors
 from repro.core.bonsai_search import BonsaiRadiusSearch, BonsaiStats
 from repro.core.floatfmt import BFLOAT16, FLOAT16
 from repro.engine import get_backend
-from repro.kdtree import SearchStats, build_kdtree, nearest_neighbors
-from repro.kdtree.radius_search import radius_search
+from repro.kdtree import SearchStats, build_kdtree
 from repro.runtime.bonsai import BonsaiBatchSearcher
 
 RADIUS = 0.8
@@ -168,20 +166,6 @@ class TestDecodedLeafTable:
         tree.compressed_array.decoded(leaf_id, FLOAT16)
         with pytest.raises(ValueError):
             tree.compressed_array.decoded(leaf_id, BFLOAT16)
-
-    def test_pickle_drops_the_table(self, random_tree):
-        tree = build_kdtree(random_tree.points)
-        compressed_leaf.compress_tree(tree)
-        for leaf in tree.leaves:
-            tree.compressed_array.decoded(leaf.leaf_id, FLOAT16)
-        copy = pickle.loads(pickle.dumps(tree))
-        assert copy.compressed_array._decoded == {}
-        query = random_tree.points[7].astype(np.float64)
-        assert (sorted(BonsaiBatchSearcher(copy).search(query, RADIUS))
-                == sorted(radius_search(tree, query, RADIUS)))
-        neighbours = BonsaiNearestNeighbors(copy).search(query, 3)
-        assert [i for i, _ in neighbours] == [
-            i for i, _ in nearest_neighbors(tree, query, 3)]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")

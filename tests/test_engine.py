@@ -99,13 +99,6 @@ class TestExecutionConfig:
         for name in backend_names():
             assert name in str(excinfo.value)
 
-    def test_with_flavor_and_hardware(self):
-        config = ExecutionConfig(backend="baseline-perquery")
-        bonsai = config.with_flavor(True)
-        assert bonsai.backend == "bonsai-perquery" and bonsai.use_bonsai
-        assert config.with_flavor(False) == config
-        assert config.with_hardware(True).hardware
-
     def test_make_backend_honours_hardware(self, small_case):
         tree, _ = small_case
         functional = ExecutionConfig(backend="bonsai-batched").make_backend(tree)
@@ -216,8 +209,9 @@ class TestScenarioExecutionOverrides:
 
     def test_explicit_backend_overrides_spec_execution(self, pinned_scenario):
         runner = PipelineRunner.from_scenario(
-            pinned_scenario, backend="baseline-perquery", n_frames=2,
-            n_beams=10, n_azimuth_steps=80)
+            pinned_scenario,
+            execution=ExecutionConfig(backend="baseline-perquery"),
+            n_frames=2, n_beams=10, n_azimuth_steps=80)
         assert runner.config.execution.backend == "baseline-perquery"
         # The other spec overrides still apply.
         assert runner.config.localization is False
@@ -256,6 +250,48 @@ class TestRemovedEntryPoints:
                 backend="baseline-perquery"))
         assert copy.execution == config.execution and copy.n_frames == 3
         assert swapped.execution.backend == "baseline-perquery"
+
+    def test_removed_mode_keywords_raise_type_error(self):
+        """ExecutionConfig is the one spelling of the mode: the boolean
+        keywords and the runner's backend/hardware tweaks are gone, and the
+        frame-level entry points require an explicit ``execution``."""
+        from repro.perception import EuclideanClusterExtractor, NDTMatcher
+        from repro.workloads import (
+            EuclideanClusterPipeline, NDTLocalizationPipeline, PipelineConfig,
+            evaluate_subsampling, measure_sequence)
+
+        pipeline = EuclideanClusterPipeline()
+        removed = [
+            lambda: EuclideanClusterExtractor(use_bonsai=True),
+            lambda: NDTMatcher(None, use_bonsai=True),
+            lambda: NDTLocalizationPipeline(None, use_bonsai=True),
+            lambda: pipeline.run_frame(None, use_bonsai=True),
+            lambda: pipeline.run_frames([], use_bonsai=True),
+            lambda: measure_sequence(None, use_bonsai=True),
+            lambda: evaluate_subsampling(None, 1, 1, use_bonsai=True),
+            lambda: PipelineConfig(simulate_caches=False),
+            # execution has no default on the frame-level entry points.
+            lambda: pipeline.run_frame(None),
+            lambda: pipeline.run_frames([]),
+            lambda: measure_sequence(None),
+            lambda: evaluate_subsampling(None, 1, 1),
+        ]
+        removed += [
+            lambda keyword=keyword, value=value: PipelineRunner.from_scenario(
+                "urban", **{keyword: value})
+            for keyword, value in (("use_bonsai", True), ("hardware", True),
+                                   ("backend", "bonsai-batched"))
+        ]
+        for call in removed:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_execution_config_updaters_removed(self):
+        config = ExecutionConfig(backend="baseline-perquery")
+        for name in ("with_flavor", "with_hardware"):
+            assert not hasattr(config, name), name
+        # The mode is rebuilt as a value instead.
+        assert replace(config, hardware=True).hardware
 
     def test_top_level_shims_removed(self):
         for name in ("batch_radius_search", "batch_knn", "BonsaiRadiusSearch"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionConfig
 from repro.workloads import LocalizationConfig, NDTLocalizationPipeline
 
 
@@ -18,8 +19,9 @@ def localization_frames(small_sequence):
 @pytest.fixture(scope="module")
 def measurements(localization_frames):
     map_cloud, scans = localization_frames
-    baseline = NDTLocalizationPipeline(map_cloud, use_bonsai=False)
-    bonsai = NDTLocalizationPipeline(map_cloud, use_bonsai=True)
+    baseline = NDTLocalizationPipeline(map_cloud)
+    bonsai = NDTLocalizationPipeline(
+        map_cloud, execution=ExecutionConfig(backend="bonsai-batched"))
     initials = [(0.8 * (i + 1) - 0.3, 0.0, 0.0) for i in range(len(scans))]
     return (baseline.register_sequence(scans, initials),
             bonsai.register_sequence(scans, initials))
@@ -59,6 +61,6 @@ class TestLocalizationPipeline:
     def test_custom_config(self, localization_frames):
         map_cloud, scans = localization_frames
         config = LocalizationConfig()
-        pipeline = NDTLocalizationPipeline(map_cloud, config=config, use_bonsai=False)
+        pipeline = NDTLocalizationPipeline(map_cloud, config=config)
         measurement = pipeline.register_scan(scans[0], initial_translation=(0.5, 0.0, 0.0))
         assert measurement.use_bonsai is False

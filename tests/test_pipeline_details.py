@@ -8,10 +8,14 @@ import pytest
 from repro.analysis.boxplot import BoxPlotStats
 from repro.analysis.compare import MetricComparison
 from repro.analysis.reporting import render_boxplot_figure, render_table
+from repro.engine import ExecutionConfig
 from repro.isa import InstructionBudget
 from repro.workloads import EuclideanClusterPipeline, PipelineConfig
 from repro.workloads.autoware import PhaseBudget
 from repro.pointcloud import DrivingSequence, LidarConfig, SceneConfig, SequenceConfig
+
+BASELINE_HW = ExecutionConfig(backend="baseline-batched", hardware=True)
+BONSAI_HW = ExecutionConfig(backend="bonsai-batched", hardware=True)
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +33,15 @@ class TestPipelineBudgets:
             instruction_budget=InstructionBudget(baseline_per_point=60),
             phase_budget=PhaseBudget(build_per_point_per_level=60),
         ))
-        base = default.run_frame(one_frame).extract.instructions
-        big = inflated.run_frame(one_frame).extract.instructions
+        base = default.run_frame(one_frame, execution=BASELINE_HW).extract.instructions
+        big = inflated.run_frame(one_frame, execution=BASELINE_HW).extract.instructions
         assert big > base
 
     def test_compression_overhead_charged_to_bonsai_build(self, one_frame):
         """The Bonsai extract kernel pays the build-time compression work."""
         pipeline = EuclideanClusterPipeline()
-        baseline = pipeline.run_frame(one_frame, use_bonsai=False)
-        bonsai = pipeline.run_frame(one_frame, use_bonsai=True)
+        baseline = pipeline.run_frame(one_frame, execution=BASELINE_HW)
+        bonsai = pipeline.run_frame(one_frame, execution=BONSAI_HW)
         phase = pipeline.config.phase_budget
         expected_overhead = (
             baseline.n_filtered_points * phase.compress_per_point
@@ -55,19 +59,19 @@ class TestPipelineBudgets:
             np.linspace(-10, 10, 200), np.zeros(200), np.full(200, -1.8)
         ]).astype(np.float32))
         with pytest.raises(ValueError):
-            pipeline.run_frame(ground_only)
+            pipeline.run_frame(ground_only, execution=BASELINE_HW)
 
     def test_measurement_is_deterministic(self, one_frame):
         pipeline = EuclideanClusterPipeline()
-        first = pipeline.run_frame(one_frame, use_bonsai=True)
-        second = pipeline.run_frame(one_frame, use_bonsai=True)
+        first = pipeline.run_frame(one_frame, execution=BONSAI_HW)
+        second = pipeline.run_frame(one_frame, execution=BONSAI_HW)
         assert first.extract.instructions == second.extract.instructions
         assert first.extract.l1_misses == second.extract.l1_misses
         assert first.n_clusters == second.n_clusters
 
     def test_end_to_end_includes_preprocess_and_labeling(self, one_frame):
         pipeline = EuclideanClusterPipeline()
-        measurement = pipeline.run_frame(one_frame)
+        measurement = pipeline.run_frame(one_frame, execution=BASELINE_HW)
         assert measurement.end_to_end_seconds > measurement.extract.seconds
         # The extract kernel dominates (the paper attributes ~90% of the node
         # to it), so the non-kernel share must stay modest.

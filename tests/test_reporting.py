@@ -25,6 +25,7 @@ from repro.analysis.hw_sweep import (
     HardwareScenarioRun,
     HardwareSweepResult,
 )
+from repro.engine import ExecutionConfig
 from repro.workloads import EuclideanClusterPipeline
 
 
@@ -84,8 +85,10 @@ class TestCompareMeasurementsEdges:
 
     def test_single_frame_pair(self, lidar_frame):
         pipeline = EuclideanClusterPipeline()
-        baseline = [pipeline.run_frame(lidar_frame, use_bonsai=False)]
-        bonsai = [pipeline.run_frame(lidar_frame, use_bonsai=True)]
+        baseline = [pipeline.run_frame(lidar_frame, execution=ExecutionConfig(
+            backend="baseline-batched", hardware=True))]
+        bonsai = [pipeline.run_frame(lidar_frame, execution=ExecutionConfig(
+            backend="bonsai-batched", hardware=True))]
         summary = compare_measurements(baseline, bonsai)
         assert summary.latency_baseline.n == 1
         assert summary.latency_baseline.mean == summary.latency_baseline.p99

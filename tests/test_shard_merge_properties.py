@@ -66,6 +66,9 @@ class TestPlanShards:
         assert 1 <= len(shards) <= max(1, min(n_shards, n_queries))
 
     def test_shard_count_clamped_to_query_count(self):
+        # Exactly min(queries, shards) shards whenever both are positive.
+        for n, k, expected in ((400, 4, 4), (97, 3, 3), (5, 8, 5), (1, 3, 1)):
+            assert len(plan_shards(n, k)) == expected, (n, k)
         assert len(plan_shards(3, 16)) == 3
         assert plan_shards(1, 9) == [(0, 1)]
         assert plan_shards(5, 0) == [(0, 5)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionConfig
 from repro.scenarios import scenario_names
 from repro.serve import StreamingPipelineRunner
 from repro.workloads import PipelineRunner
@@ -26,9 +27,9 @@ def _serial_metrics(scenario: str, n_frames: int, seed: int) -> dict:
 
 def _streaming_metrics(scenario: str, n_frames: int, seed: int, *,
                        stage_workers: int, queue_depth=None,
-                       stage_delay=None, backend=None) -> dict:
+                       stage_delay=None, execution=None) -> dict:
     runner = StreamingPipelineRunner.from_scenario(
-        scenario, n_frames=n_frames, seed=seed, backend=backend)
+        scenario, n_frames=n_frames, seed=seed, execution=execution)
     runner.stage_workers = stage_workers
     runner.queue_depth = queue_depth
     runner.stage_delay = stage_delay
@@ -67,10 +68,11 @@ def test_queue_depth_is_backpressure_not_correctness(queue_depth):
 
 
 def test_streaming_with_bonsai_backend():
+    bonsai = ExecutionConfig(backend="bonsai-batched")
     serial = PipelineRunner.from_scenario(
-        "urban", n_frames=3, seed=4, backend="bonsai-batched").run().metrics()
+        "urban", n_frames=3, seed=4, execution=bonsai).run().metrics()
     streaming = _streaming_metrics("urban", n_frames=3, seed=4,
-                                   stage_workers=2, backend="bonsai-batched")
+                                   stage_workers=2, execution=bonsai)
     assert streaming == serial
 
 

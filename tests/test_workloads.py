@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionConfig
 from repro.pointcloud import (
     DrivingSequence,
     LidarConfig,
@@ -13,12 +14,15 @@ from repro.pointcloud import (
 )
 from repro.workloads import (
     EuclideanClusterPipeline,
-    PipelineConfig,
     evaluate_subsampling,
     measure_sequence,
     profile_euclidean_cluster,
     profile_ndt_matching,
 )
+
+#: The recorded (trace-driven) modes the paper's figures are measured in.
+BASELINE_HW = ExecutionConfig(backend="baseline-batched", hardware=True)
+BONSAI_HW = ExecutionConfig(backend="bonsai-batched", hardware=True)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +43,8 @@ def pipeline():
 @pytest.fixture(scope="module")
 def baseline_and_bonsai(tiny_sequence, pipeline):
     clouds = [tiny_sequence.frame(i) for i in range(2)]
-    baseline = pipeline.run_frames(clouds, use_bonsai=False)
-    bonsai = pipeline.run_frames(clouds, use_bonsai=True)
+    baseline = pipeline.run_frames(clouds, execution=BASELINE_HW)
+    bonsai = pipeline.run_frames(clouds, execution=BONSAI_HW)
     return baseline, bonsai
 
 
@@ -85,13 +89,15 @@ class TestPipeline:
         assert bonsai[0].compressed_total_bytes < bonsai[0].baseline_point_bytes
 
     def test_cache_simulation_can_be_disabled(self, tiny_sequence):
-        pipeline = EuclideanClusterPipeline(PipelineConfig(simulate_caches=False))
-        measurement = pipeline.run_frame(tiny_sequence.frame(0))
+        pipeline = EuclideanClusterPipeline()
+        measurement = pipeline.run_frame(tiny_sequence.frame(0),
+                                         execution=ExecutionConfig())
+        assert measurement.hierarchy is None
         assert measurement.extract.l1_accesses > 0
 
     def test_run_frames_indices(self, tiny_sequence, pipeline):
         clouds = [tiny_sequence.frame(i) for i in range(2)]
-        measurements = pipeline.run_frames(clouds)
+        measurements = pipeline.run_frames(clouds, execution=BASELINE_HW)
         assert [m.frame_index for m in measurements] == [0, 1]
 
 
@@ -117,13 +123,14 @@ class TestProfiles:
 
 class TestSubsampling:
     def test_measure_sequence_subset(self, tiny_sequence, pipeline):
-        measurements = measure_sequence(tiny_sequence, indices=[0, 2], pipeline=pipeline)
+        measurements = measure_sequence(tiny_sequence, indices=[0, 2], pipeline=pipeline,
+                                        execution=BASELINE_HW)
         assert [m.frame_index for m in measurements] == [0, 2]
 
     def test_subsampling_errors_are_small(self, tiny_sequence, pipeline):
         """Table III: systematic sub-sampling tracks the full-sequence metrics."""
         errors = evaluate_subsampling(tiny_sequence, n_samples=2, sample_length=1,
-                                      pipeline=pipeline)
+                                      pipeline=pipeline, execution=BASELINE_HW)
         assert errors.n_full_frames == len(tiny_sequence)
         assert errors.n_sampled_frames == 2
         assert 0.0 <= errors.latency_mean_error < 0.25
@@ -194,7 +201,7 @@ class TestPipelineRunner:
 
         result = PipelineRunner.from_scenario(
             "urban", n_frames=2, seed=3, n_beams=12, n_azimuth_steps=90,
-            use_bonsai=True).run()
+            execution=ExecutionConfig(backend="bonsai-batched")).run()
         assert result.cluster_bonsai is not None
         assert result.cluster_bonsai.leaf_visits > 0
         assert result.metrics()["cluster_bonsai"]["points_classified"] > 0
@@ -204,7 +211,8 @@ class TestPipelineRunner:
 
         shared = PipelineRunnerConfig()
         runner = PipelineRunner.from_scenario(
-            "urban", config=shared, use_bonsai=True,
+            "urban", config=shared,
+            execution=ExecutionConfig(backend="bonsai-batched"),
             n_frames=1, n_beams=8, n_azimuth_steps=64)
         assert runner.config.execution.use_bonsai is True
         assert shared.execution.use_bonsai is False
